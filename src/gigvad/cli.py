@@ -8,6 +8,7 @@ before doing work.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -84,11 +85,9 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
 
 def _resolve_config(args) -> Config:
     cfg = load_config(args.config) if args.config else Config()
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "out_dir", None) is not None:
-        cfg.out_dir = args.out_dir
-    cfg.validate()
+    overrides = {key: getattr(args, key) for key in ("seed", "out_dir")
+                 if getattr(args, key) is not None}
+    cfg = dataclasses.replace(cfg, **overrides)  # re-runs the checks
     print(format_config(cfg), end="")
     return cfg
 
@@ -123,12 +122,11 @@ def _cmd_generate(args) -> int:
 def _cmd_train(args) -> int:
     cfg = _resolve_config(args)
     dataset = _dataset(args.data, cfg.train_data, "training")
-    result = train(dataset, cfg.train_config())
+    result = train(dataset, cfg)
     out_dir = Path(cfg.out_dir)
     ckpt = out_dir / "checkpoint.bin"
     log = out_dir / "loss_log.tsv"
-    tc = cfg.train_config()
-    save_checkpoint(ckpt, result.params, tc.resolved_k, tc.resolved_p)
+    save_checkpoint(ckpt, result.params, cfg.resolved_k, cfg.resolved_p)
     atomic_write_text(log, _loss_log_text(result.history))
     if result.history:
         print(f"final epoch total loss: {result.history[-1].total!r}")

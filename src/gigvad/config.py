@@ -3,10 +3,15 @@
 Format: UTF-8 lines of ``key = value``; ``#`` starts a comment; blank lines
 ignored. Unknown keys are rejected, missing keys fall back to the documented
 defaults, and every diagnostic names the offending line.
+
+The value checks live in the ``__post_init__`` of :class:`Config` and of its
+base :class:`~gigvad.training.TrainConfig`: a config that exists is valid,
+whether it was parsed, built in code, or derived with ``dataclasses.replace``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -23,30 +28,15 @@ def _parse_optional_int(text: str):
 
 
 @dataclass
-class Config:
+class Config(TrainConfig):
     """Every tunable of the pipeline plus dataset paths and output directory.
 
-    ``top_k`` / ``top_p`` accept the literal ``auto`` (the default) to derive
-    a quarter of the spatial cells / segments.
+    The training fields come from :class:`TrainConfig`; this class adds the
+    inference settings and the paths. ``top_k`` / ``top_p`` accept the
+    literal ``auto`` (the default) to derive a quarter of the spatial cells /
+    segments.
     """
 
-    segments: int = 8
-    clips_per_segment: int = 6
-    clip_interval: int = 5
-    batch_size: int = 8
-    learning_rate: float = 0.001
-    epochs: int = 100
-    dropout: float = 0.5
-    flip_prob: float = 0.5
-    top_k: int | None = None
-    top_p: int | None = None
-    lambda1: float = 1.0
-    lambda2: float = 0.5
-    lambda3: float = 0.1
-    seed: int = 7
-    rows: int = 4
-    cols: int = 4
-    channels: int = 32
     window: int = DEFAULT_WINDOW
     stride: int = DEFAULT_STRIDE
     sigma: float = DEFAULT_SIGMA
@@ -55,38 +45,18 @@ class Config:
     test_data: str = ""
     out_dir: str = "out"
 
-    def validate(self) -> "Config":
-        self.train_config()  # reuses TrainConfig's range checks
+    def __post_init__(self) -> None:
+        super().__post_init__()
         if self.window < 1 or self.stride < 1:
             raise ConfigError("window and stride must be positive")
-        if self.sigma <= 0:
-            raise ConfigError("sigma must be positive")
-        return self
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ConfigError("sigma must be finite and positive")
+        if not math.isfinite(self.tau):
+            raise ConfigError("tau must be finite")
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            segments=self.segments,
-            clips_per_segment=self.clips_per_segment,
-            clip_interval=self.clip_interval,
-            batch_size=self.batch_size,
-            learning_rate=self.learning_rate,
-            epochs=self.epochs,
-            dropout=self.dropout,
-            flip_prob=self.flip_prob,
-            top_k=self.top_k,
-            top_p=self.top_p,
-            lambda1=self.lambda1,
-            lambda2=self.lambda2,
-            lambda3=self.lambda3,
-            seed=self.seed,
-            rows=self.rows,
-            cols=self.cols,
-            channels=self.channels,
-        )
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return (self.rows, self.cols, self.channels)
+        """The training settings: a Config is a TrainConfig."""
+        return self
 
 
 # field annotations are strings here (postponed evaluation)
@@ -129,7 +99,7 @@ def parse_config(text: str) -> Config:
             raise ConfigError(
                 f"line {lineno}: bad value for '{key}': {value!r}") from exc
     try:
-        return Config(**values).validate()
+        return Config(**values)
     except ConfigError as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
 

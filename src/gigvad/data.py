@@ -53,6 +53,8 @@ class VideoSpec:
     spans: list[AnomalySpan] = field(default_factory=list)
 
     def validate(self, n_classes: int) -> None:
+        if self.video_id < 0:
+            raise DatasetError(f"video {self.video_id}: negative id")
         if self.frame_count < 1:
             raise DatasetError(f"video {self.video_id}: empty video")
         if self.labels.n_classes != n_classes:
@@ -79,6 +81,8 @@ class DatasetSpec:
     seed: int
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise DatasetError("dataset seed must be non-negative")
         if not self.videos:
             raise DatasetError("dataset has no videos")
         ids = [v.video_id for v in self.videos]
@@ -120,6 +124,8 @@ def generate_dataset(n_videos: int, n_anomalous: int, n_classes: int,
         raise DatasetError("anomalous count out of range")
     if n_classes < 1:
         raise DatasetError("need at least one anomaly class")
+    if seed < 0 or start_id < 0:
+        raise DatasetError("seed and start id must be non-negative")
     if not (1 <= frames[0] <= frames[1]) or not (0 < cover[0] <= cover[1] <= 1):
         raise DatasetError("bad frame range or cover range")
     rng = np.random.default_rng(

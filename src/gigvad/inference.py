@@ -85,8 +85,7 @@ def score_video(video: VideoSpec, params: HeadParams,
     return FrameScoreSeries(sums / counts[:, None])
 
 
-def gaussian_smooth(series, sigma: float = DEFAULT_SIGMA,
-                    order: int = 0) -> np.ndarray:
+def gaussian_smooth(series, sigma: float = DEFAULT_SIGMA) -> np.ndarray:
     """1-D Gaussian smoothing with a normalized truncated kernel.
 
     The kernel is cut at radius ceil(4*sigma) and renormalized to sum 1;
@@ -96,10 +95,8 @@ def gaussian_smooth(series, sigma: float = DEFAULT_SIGMA,
     arr = np.asarray(series, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise DimensionError("series must be a non-empty 1-D array")
-    if sigma <= 0:
-        raise ConfigError("sigma must be positive")
-    if order != 0:
-        raise ConfigError("only order 0 (plain smoothing) is supported")
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise ConfigError("sigma must be finite and positive")
     radius = int(np.ceil(4.0 * sigma))
     offsets = np.arange(-radius, radius + 1, dtype=np.float64)
     kernel = np.exp(-0.5 * (offsets / sigma) ** 2)

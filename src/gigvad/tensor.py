@@ -9,7 +9,7 @@ may be shared freely once built, the tape may not.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -91,9 +91,6 @@ class _Record:
         self.margin = margin
         self.winners = winners
 
-    def tensors(self) -> Iterable[Tensor]:
-        yield self.output
-
 
 class GradTape:
     """Ordered record of executed primitives, replayed in reverse for grads.
@@ -144,13 +141,11 @@ class GradTape:
         """
         return [r.winners for r in self._records if r.winners is not None]
 
-    def _reset_grads(self, extra: Sequence[Tensor] = ()) -> None:
+    def _reset_grads(self) -> None:
         for rec, inputs in zip(self._records, self._inputs):
             rec.output.grad = None
             for t in inputs:
                 t.grad = None
-        for t in extra:
-            t.grad = None
 
     def backward(self, output: Tensor) -> None:
         """Seed d(output)/d(output)=1 and replay records newest-first.
@@ -170,18 +165,12 @@ class GradTape:
 
     def gradients(self, output: Tensor,
                   wrt: Sequence[Tensor]) -> list[np.ndarray]:
-        """Gradients of ``output`` with respect to each tensor in ``wrt``."""
-        self._reset_grads(extra=wrt)
-        output.grad = np.ones((), dtype=np.float64)
-        for rec in reversed(self._records):
-            upstream = rec.output.grad
-            if upstream is None:
-                continue
-            rec.backward(upstream)
-        out = []
+        """Gradients of ``output`` with respect to each tensor in ``wrt``.
+
+        A tensor in ``wrt`` that the output does not depend on gets zeros.
+        """
         for t in wrt:
-            if t.grad is None:
-                out.append(np.zeros(t.data.shape, dtype=np.float64))
-            else:
-                out.append(t.grad.copy())
-        return out
+            t.grad = None
+        self.backward(output)
+        return [np.zeros(t.data.shape, dtype=np.float64) if t.grad is None
+                else t.grad.copy() for t in wrt]

@@ -8,6 +8,7 @@ and per-video streams are independent of batch composition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +19,6 @@ from .errors import ConfigError, DatasetError, NumericError
 from .gig import FeatureMaps, HeadParams
 from .losses import LossBreakdown
 from .model import video_loss
-from .ops import dropout  # noqa: F401  (re-export: part of this surface)
 from .spatial import default_top_k, default_top_p
 from .tensor import GradTape, Tensor
 
@@ -32,7 +32,13 @@ _VIDEO_TAG = 3
 
 @dataclass
 class TrainConfig:
-    """Training hyperparameters and synthetic feature dimensions."""
+    """Training hyperparameters and synthetic feature dimensions.
+
+    Every value is checked when the config is built (``__post_init__``), so
+    an instance always holds finite floats, a non-negative seed and, when
+    given, ``top_k`` in [1, rows*cols] and ``top_p`` in [1, segments].
+    ``dataclasses.replace`` re-runs the checks.
+    """
 
     segments: int = 8            # T
     clips_per_segment: int = 6
@@ -59,14 +65,20 @@ class TrainConfig:
             raise ConfigError("all counts must be positive")
         if self.epochs < 0:
             raise ConfigError("epochs must be non-negative")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if not (0.0 <= self.dropout < 1.0):
             raise ConfigError("dropout must lie in [0, 1)")
         if not (0.0 <= self.flip_prob <= 1.0):
             raise ConfigError("flip_prob must lie in [0, 1]")
-        if min(self.lambda1, self.lambda2, self.lambda3) < 0:
-            raise ConfigError("loss weights must be non-negative")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning rate must be positive")
+        if not all(math.isfinite(w) and w >= 0 for w in self.weights):
+            raise ConfigError("loss weights must be finite and non-negative")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError("learning rate must be finite and positive")
+        for name, value, top in (("top_k", self.top_k, self.rows * self.cols),
+                                 ("top_p", self.top_p, self.segments)):
+            if value is not None and not (1 <= value <= top):
+                raise ConfigError(f"{name} must lie in [1, {top}]")
 
     @property
     def resolved_k(self) -> int:

@@ -1,7 +1,11 @@
 """Config files, checkpoints, dataset files, and the command line."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gigvad.checkpoint import (checkpoint_bytes, expected_size, load_checkpoint,
                                parse_checkpoint, payload_floats,
@@ -58,15 +62,40 @@ seed = 9
             parse_config("seed = 1\nseed = 2\n")
 
     def test_range_validation(self):
-        with pytest.raises(ConfigError):
-            parse_config("dropout = 1.5\n")
-        with pytest.raises(ConfigError):
-            parse_config("sigma = 0\n")
+        for text in ("dropout = 1.5", "sigma = 0", "seed = -1",
+                     "learning_rate = nan", "lambda1 = nan", "sigma = inf",
+                     "tau = nan", "top_k = 99", "top_p = 9", "window = 0"):
+            with pytest.raises(ConfigError, match="invalid configuration"):
+                parse_config(text + "\n")
 
     def test_format_parse_roundtrip(self):
         cfg = Config(epochs=3, top_k=5, train_data="a.txt", sigma=1.5)
         again = parse_config(format_config(cfg))
         assert again == cfg
+
+
+_KEYS = [f.name for f in fields(Config)]
+_VALUES = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["auto", "nan", "inf", "-inf", ""]),
+    st.text(max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_KEYS), _VALUES), max_size=8))
+def test_config_text_yields_valid_config_or_config_error(pairs):
+    text = "".join(f"{key} = {value}\n" for key, value in pairs)
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        return
+    for f in fields(Config):
+        if f.type == "float":
+            assert np.isfinite(getattr(cfg, f.name)), f.name
+    assert cfg.seed >= 0
+    assert 1 <= cfg.resolved_k <= cfg.rows * cfg.cols
+    assert 1 <= cfg.resolved_p <= cfg.segments
 
 
 class TestCheckpoint:
@@ -251,6 +280,42 @@ class TestCli:
         assert main(["eval", "--checkpoint", str(cli_env["root"] / "nope.bin"),
                      "--data", str(cli_env["test"])]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("kind, arg, want", [
+        ("config", "seed = -1", 1),
+        ("config", "learning_rate = nan", 1),
+        ("config", "lambda1 = nan", 1),
+        ("config", "sigma = inf", 1),
+        ("config", "top_k = 99", 1),
+        ("config", "top_p = 9", 1),
+        ("flag", "--seed -1", 1),
+        ("generate", "--seed -3", 2),
+        ("data", ("seed = 5\n", "seed = -5\n"), 2),
+        ("data", ("\n0 ", "\n-1 "), 2),  # first video's id
+    ])
+    def test_bad_input_named_error_exit_code(self, cli_env, tmp_path, capsys,
+                                             kind, arg, want):
+        train = ["train", "--data", str(cli_env["train"]),
+                 "--out-dir", str(tmp_path / "out")]
+        if kind == "config":
+            (tmp_path / "bad.cfg").write_text(arg + "\n")
+            argv = [*train, "--config", str(tmp_path / "bad.cfg")]
+        elif kind == "flag":
+            argv = [*train, *arg.split()]
+        elif kind == "generate":
+            argv = ["generate-data", "--out", str(tmp_path / "d.txt"),
+                    *arg.split()]
+        else:
+            bad = tmp_path / "bad.txt"
+            bad.write_text(cli_env["train"].read_text().replace(*arg, 1))
+            argv = [*train, "--data", str(bad)]  # the last --data wins
+        assert main(argv) == want
+        echoed, err = capsys.readouterr()
+        prefix = "configuration error:" if want == 1 else "i/o error:"
+        assert err.startswith(prefix) and "Traceback" not in err
+        if want == 1:
+            assert echoed == ""  # rejected before the config is echoed
+        assert not (tmp_path / "out").exists()
 
     def test_corrupt_checkpoint_exits_two(self, cli_env, capsys):
         out = cli_env["root"] / "a"

@@ -141,6 +141,8 @@ class TestTape:
             y = ops.sigmoid(x)
         with pytest.raises(DimensionError):
             tape.backward(y)
+        with pytest.raises(DimensionError):
+            tape.gradients(y, [x])
 
     def test_no_tape_still_computes(self):
         assert ops.sigmoid(Tensor(0.0)).item() == 0.5

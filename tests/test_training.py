@@ -280,3 +280,11 @@ class TestTrainConfig:
             TrainConfig(lambda2=-0.5)
         with pytest.raises(ConfigError):
             TrainConfig(learning_rate=0.0)
+        for bad in ({"learning_rate": float("nan")},
+                    {"learning_rate": float("inf")},
+                    {"lambda1": float("nan")}, {"lambda3": float("inf")},
+                    {"seed": -1}, {"top_k": 0}, {"top_k": 17},
+                    {"top_p": 0}, {"top_p": 9}):
+            with pytest.raises(ConfigError):
+                TrainConfig(**bad)
+        assert TrainConfig(top_k=16, top_p=8).resolved_k == 16
