@@ -52,11 +52,12 @@ def signature_channels(cls: int, n_classes: int,
 
 
 def synthetic_backbone(clip_starts: Sequence[Sequence[int]], video: VideoSpec,
-                       dims: tuple[int, int, int], seed: int,
-                       offset: float = SIGNATURE_OFFSET) -> FeatureMaps:
+                       dims: tuple[int, int, int], seed: int) -> FeatureMaps:
     """Feature block of extents (T, w, h, d) for the sampled clips.
 
-    ``clip_starts`` holds one list of clip start frames per segment.
+    ``clip_starts`` holds one list of clip start frames per segment. Each
+    class active at a segment's clips adds :data:`SIGNATURE_OFFSET` to its
+    signature channels at its signature cells.
     """
     rows, cols, channels = dims
     if min(rows, cols, channels) < 1:
@@ -71,7 +72,7 @@ def synthetic_backbone(clip_starts: Sequence[Sequence[int]], video: VideoSpec,
         for cls in _active_classes(video, starts):
             lo, hi = signature_channels(cls, video.labels.n_classes, channels)
             for r, c in signature_cells(cls, rows, cols):
-                seg[r, c, lo:hi] += offset
+                seg[r, c, lo:hi] += SIGNATURE_OFFSET
         block[t] = seg
     return FeatureMaps(Tensor(block))
 

@@ -68,8 +68,8 @@ def parse_checkpoint(blob: bytes) -> tuple[HeadParams, dict]:
     magic, n_classes, channels, top_k, top_p = _HEADER.unpack_from(blob)
     if magic != MAGIC:
         raise CheckpointError(f"bad magic: expected {MAGIC!r}")
-    if n_classes < 1 or channels < 1:
-        raise CheckpointError("bad header: class/channel counts must be >= 1")
+    if min(n_classes, channels, top_k, top_p) < 1:
+        raise CheckpointError("bad header: C, d, k and p must be >= 1")
     size = expected_size(n_classes, channels)
     if len(blob) != size:
         raise CheckpointError(
@@ -79,8 +79,9 @@ def parse_checkpoint(blob: bytes) -> tuple[HeadParams, dict]:
         raise CheckpointError("checksum failure: checkpoint is corrupt")
 
     out = 1 + n_classes
-    flat = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size,
-                         count=payload_floats(n_classes, channels))
+    flat = np.frombuffer(memoryview(blob)[_HEADER.size:-8], dtype="<f8")
+    if not np.isfinite(flat).all():
+        raise CheckpointError("bad payload: weights must be finite")
     shapes = [(out, channels), (out,), (out, channels), (out,)]
     arrays, pos = [], 0
     for shape in shapes:

@@ -14,9 +14,9 @@ File format (UTF-8 text)::
     seed = 7
     <id> <frame_count> <label bits> <spans>
 
-One video per line after the header. Label bits are C characters of 0/1
-(class 1 first). Spans are ``-`` for none, else comma-separated
-``class:start-end`` with inclusive end frames.
+Exactly N video lines follow the header; blank lines may trail them, nothing
+else may. Label bits are C characters of 0/1 (class 1 first). Spans are ``-``
+for none, else comma-separated ``class:start-end`` with inclusive end frames.
 """
 
 from __future__ import annotations
@@ -220,12 +220,15 @@ def parse_dataset(text: str) -> DatasetSpec:
         except ValueError as exc:
             raise DatasetError(f"line {lineno}: bad integer") from exc
     n, n_classes = header["N"], header["C"]
-    videos = []
-    for i in range(n):
-        lineno = 5 + i
-        if lineno - 1 >= len(lines):
-            raise DatasetError(f"line {lineno}: expected {n} video lines")
-        videos.append(_parse_video(lines[lineno - 1], lineno, n_classes))
+    body = lines[4:]
+    while body and not body[-1].strip():
+        body.pop()
+    if len(body) != n:  # name the first surplus line or the missing one
+        lineno = 5 + max(0, min(len(body), n))
+        raise DatasetError(f"line {lineno}: header declares N = {n} video"
+                           f" lines, found {len(body)}")
+    videos = [_parse_video(line, lineno, n_classes)
+              for lineno, line in enumerate(body, start=5)]
     spec = DatasetSpec(videos, n_classes, header["seed"])
     try:
         spec.validate()

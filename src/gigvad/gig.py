@@ -21,26 +21,17 @@ from .tensor import Tensor
 
 @dataclass
 class FeatureMaps:
-    """A (T, w, h, d) feature block; ``enhanced`` marks gated blocks."""
+    """A (T, w, h, d) feature block; ``enhanced`` marks gated blocks.
+
+    ``channels`` is d; T, w and h are read from ``data.shape``.
+    """
 
     data: Tensor
     enhanced: bool = False
 
     def __post_init__(self) -> None:
-        if self.data.shape is None or len(self.data.shape) != 4:
+        if len(self.data.shape) != 4:
             raise DimensionError("feature maps must have extents (T, w, h, d)")
-
-    @property
-    def segments(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[2]
 
     @property
     def channels(self) -> int:

@@ -24,13 +24,12 @@ class ConsensusScore:
     """Per-class consensus over segments plus the derived overall score.
 
     ``channel_scores`` has extent 1+C (channel 0 normal); each entry is the
-    mean of that channel's p largest segment scores. ``overall`` is the max
-    of the anomaly channels.
+    mean of that channel's p largest segment scores, p being the argument of
+    :func:`consensus`. ``overall`` is the max of the anomaly channels.
     """
 
     channel_scores: Tensor
     overall: Tensor
-    p: int
 
 
 def relation_scores(pattern: Tensor, feats: FeatureMaps) -> Tensor:
@@ -90,7 +89,7 @@ def consensus(scores: Tensor, p: int) -> ConsensusScore:
     channel_scores = ops.topp_mean_cols(scores, p)
     anomaly = ops.slice_axis(channel_scores, 0, 1, n_channels)
     overall = ops.reduce_max(anomaly)
-    return ConsensusScore(channel_scores=channel_scores, overall=overall, p=p)
+    return ConsensusScore(channel_scores=channel_scores, overall=overall)
 
 
 def default_top_k(rows: int, cols: int) -> int:

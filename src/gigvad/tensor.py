@@ -80,12 +80,13 @@ def accumulate_grad(t: Tensor, delta: np.ndarray) -> None:
 
 
 class _Record:
-    __slots__ = ("name", "output", "backward", "margin", "winners")
+    __slots__ = ("name", "inputs", "output", "backward", "margin", "winners")
 
-    def __init__(self, name: str, output: Tensor,
+    def __init__(self, name: str, inputs: tuple[Tensor, ...], output: Tensor,
                  backward: Callable[[np.ndarray], None],
                  margin: float | None, winners: np.ndarray | None) -> None:
         self.name = name
+        self.inputs = inputs
         self.output = output
         self.backward = backward
         self.margin = margin
@@ -109,7 +110,6 @@ class GradTape:
 
     def __init__(self) -> None:
         self._records: list[_Record] = []
-        self._inputs: list[tuple[Tensor, ...]] = []
 
     def __enter__(self) -> "GradTape":
         _tape_stack().append(self)
@@ -125,8 +125,8 @@ class GradTape:
                backward: Callable[[np.ndarray], None],
                margin: float | None = None,
                winners: np.ndarray | None = None) -> None:
-        self._records.append(_Record(name, output, backward, margin, winners))
-        self._inputs.append(inputs)
+        self._records.append(
+            _Record(name, inputs, output, backward, margin, winners))
 
     def min_selection_margin(self) -> float:
         """Smallest gap to a selection tie seen in the recorded forward pass."""
@@ -142,9 +142,9 @@ class GradTape:
         return [r.winners for r in self._records if r.winners is not None]
 
     def _reset_grads(self) -> None:
-        for rec, inputs in zip(self._records, self._inputs):
+        for rec in self._records:
             rec.output.grad = None
-            for t in inputs:
+            for t in rec.inputs:
                 t.grad = None
 
     def backward(self, output: Tensor) -> None:

@@ -143,8 +143,7 @@ def hflip_augment(feats: FeatureMaps, prob: float,
     return FeatureMaps(Tensor(flipped), enhanced=feats.enhanced)
 
 
-def adagrad_step(params: HeadParams, grads, lr: float,
-                 eps: float = ADAGRAD_EPS) -> None:
+def adagrad_step(params: HeadParams, grads, lr: float) -> None:
     """One Adagrad update: accumulate squared grads, scale the step by them.
 
     Aborts (no parameter touched) on any non-finite gradient.
@@ -162,7 +161,7 @@ def adagrad_step(params: HeadParams, grads, lr: float,
     for name, t, g in zip(HeadParams.NAMES, tensors, grads):
         acc = params.accum[name]
         acc += np.asarray(g) ** 2
-        new = t.data - lr * np.asarray(g) / (np.sqrt(acc) + eps)
+        new = t.data - lr * np.asarray(g) / (np.sqrt(acc) + ADAGRAD_EPS)
         setattr(params, name, Tensor(new))
 
 

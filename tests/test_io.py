@@ -1,5 +1,6 @@
 """Config files, checkpoints, dataset files, and the command line."""
 
+import struct
 from dataclasses import fields
 
 import numpy as np
@@ -16,6 +17,23 @@ from gigvad.data import (format_dataset, generate_dataset, parse_dataset,
                          read_dataset, write_dataset)
 from gigvad.errors import CheckpointError, ConfigError, DatasetError
 from gigvad.gig import HeadParams
+
+# a header declaring one video, followed by two video lines and a stray line
+SURPLUS_LINES = ("gigvad-dataset v1\nN = 1\nC = 1\nseed = 0\n"
+                 "0 10 0 -\n1 10 0 -\ngarbage line here\n")
+# byte offsets in a checkpoint: the stored k, then the first payload float
+K_AT, PAYLOAD_AT = 16, 24
+
+
+def _resealed(blob: bytes, at: int, raw: bytes) -> bytes:
+    """``blob`` with ``raw`` written at byte ``at`` and a fresh checksum."""
+    body = bytearray(blob[:-8])
+    body[at:at + len(raw)] = raw
+    return _sealed(bytes(body))
+
+
+def _sealed(body: bytes) -> bytes:
+    return body + struct.pack("<Q", sum(body) % 2 ** 64)
 
 
 class TestConfig:
@@ -139,6 +157,42 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="checksum"):
             parse_checkpoint(bytes(blob))
 
+    @pytest.mark.parametrize("at, raw", [
+        (K_AT, struct.pack("<I", 0)),
+        (K_AT + 4, struct.pack("<I", 0)),  # p
+        (PAYLOAD_AT, struct.pack("<d", float("nan"))),
+        (PAYLOAD_AT + 8, struct.pack("<d", float("-inf"))),
+    ], ids=["k0", "p0", "nan-weight", "inf-weight"])
+    def test_values_the_writer_refuses_are_rejected(self, rng, at, raw):
+        blob = _resealed(checkpoint_bytes(self._params(rng), 4, 2), at, raw)
+        with pytest.raises(CheckpointError, match="bad header|bad payload"):
+            parse_checkpoint(blob)
+
+
+@st.composite
+def _checkpoint_blobs(draw):
+    """Checkpoint-shaped bytes: any header counts, any floats, maybe sealed."""
+    counts = draw(st.tuples(*[st.integers(0, 3)] * 4))
+    n = payload_floats(counts[0], counts[1])
+    floats = draw(st.lists(st.floats(), min_size=n, max_size=n))
+    body = (b"GIGVAD01" + struct.pack("<4I", *counts)
+            + struct.pack(f"<{n}d", *floats))
+    blob = _sealed(body) if draw(st.booleans()) else body + bytes(8)
+    if draw(st.booleans()):
+        blob = blob[:draw(st.integers(0, len(blob) - 1))]
+    return blob
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.binary(max_size=80), _checkpoint_blobs()))
+def test_checkpoint_bytes_yield_valid_params_or_checkpoint_error(blob):
+    try:
+        params, meta = parse_checkpoint(blob)
+    except CheckpointError:
+        return
+    assert meta["top_k"] >= 1 and meta["top_p"] >= 1
+    assert all(np.isfinite(t.data).all() for t in params.tensors())
+
 
 class TestDatasetFile:
     def test_roundtrip(self):
@@ -178,6 +232,46 @@ class TestDatasetFile:
                 "0 10 1 1:5-12\n")
         with pytest.raises(DatasetError, match="outside"):
             parse_dataset(text)
+
+    def test_surplus_lines_rejected_at_first_one(self):
+        with pytest.raises(DatasetError, match="line 6:.*N = 1"):
+            parse_dataset(SURPLUS_LINES)
+
+    def test_missing_video_line_named(self):
+        text = ("gigvad-dataset v1\nN = 3\nC = 1\nseed = 0\n"
+                "0 10 0 -\n1 10 0 -\n")
+        with pytest.raises(DatasetError, match="line 7:.*N = 3"):
+            parse_dataset(text)
+
+    def test_trailing_blank_lines_accepted(self):
+        spec = generate_dataset(5, 2, 2, seed=1, frames=(20, 30),
+                                cover=(0.3, 0.5))
+        again = parse_dataset(format_dataset(spec) + "\n  \n\t\n\n")
+        assert format_dataset(again) == format_dataset(spec)
+
+
+@st.composite
+def _dataset_specs(draw):
+    n_videos = draw(st.integers(1, 6))
+    return generate_dataset(n_videos, draw(st.integers(0, n_videos)),
+                            draw(st.integers(1, 3)), draw(st.integers(0, 99)),
+                            frames=(20, 60), cover=(0.2, 0.8),
+                            second_span_every=draw(st.integers(0, 3)))
+
+
+_BLANKS = " \t\r\n\x0b\x0c\x1c\x85\u2028\u3000"
+
+
+@settings(max_examples=200, deadline=None)
+@given(_dataset_specs(), st.one_of(st.text(max_size=20),
+                                   st.text(alphabet=_BLANKS, max_size=12)))
+def test_text_after_video_lines_rejected_unless_blank(spec, extra):
+    text = format_dataset(spec) + extra
+    if any(line.strip() for line in extra.splitlines()):
+        with pytest.raises(DatasetError):
+            parse_dataset(text)
+    else:
+        assert format_dataset(parse_dataset(text)) == format_dataset(spec)
 
 
 @pytest.fixture(scope="module")
@@ -292,6 +386,14 @@ class TestCli:
         ("generate", "--seed -3", 2),
         ("data", ("seed = 5\n", "seed = -5\n"), 2),
         ("data", ("\n0 ", "\n-1 "), 2),  # first video's id
+        pytest.param("dataset", SURPLUS_LINES, 2, id="dataset-surplus-2"),
+        pytest.param("data", ("N = 14\n", "N = 13\n"), 2,
+                     id="data-surplus-2"),  # trains on 13 if lines are dropped
+        pytest.param("checkpoint", (K_AT, struct.pack("<I", 0)), 2,
+                     id="checkpoint-k0-2"),
+        pytest.param("checkpoint",
+                     (PAYLOAD_AT, struct.pack("<d", float("nan"))), 2,
+                     id="checkpoint-nan-2"),
     ])
     def test_bad_input_named_error_exit_code(self, cli_env, tmp_path, capsys,
                                              kind, arg, want):
@@ -305,6 +407,16 @@ class TestCli:
         elif kind == "generate":
             argv = ["generate-data", "--out", str(tmp_path / "d.txt"),
                     *arg.split()]
+        elif kind == "dataset":
+            (tmp_path / "bad.txt").write_text(arg)
+            argv = [*train, "--data", str(tmp_path / "bad.txt")]
+        elif kind == "checkpoint":
+            params = HeadParams.initialize(16, 2, np.random.default_rng(0))
+            bad = tmp_path / "bad.bin"
+            bad.write_bytes(_resealed(checkpoint_bytes(params, 4, 2), *arg))
+            argv = ["eval", "--config", str(cli_env["cfg"]),
+                    "--checkpoint", str(bad), "--data", str(cli_env["test"]),
+                    "--out-dir", str(tmp_path / "out")]
         else:
             bad = tmp_path / "bad.txt"
             bad.write_text(cli_env["train"].read_text().replace(*arg, 1))
