@@ -49,5 +49,5 @@ __all__ = [
     "segment_overall_loss", "segment_patterns", "segment_scores",
     "select_topk", "smooth_series", "sparsity_loss", "synthetic_backbone",
     "total_loss", "train", "video_level_loss", "video_loss",
-    "video_overall_score", "window_starts",
+    "video_overall_score", "window_starts", "write_dataset",
 ]

@@ -15,8 +15,9 @@ File format (UTF-8 text)::
     <id> <frame_count> <label bits> <spans>
 
 Exactly N video lines follow the header; blank lines may trail them, nothing
-else may. Label bits are C characters of 0/1 (class 1 first). Spans are ``-``
-for none, else comma-separated ``class:start-end`` with inclusive end frames.
+else may. Frame counts lie in [1, MAX_FRAMES]. Label bits are C characters of
+0/1 (class 1 first). Spans are ``-`` for none, else comma-separated
+``class:start-end`` with inclusive end frames.
 """
 
 from __future__ import annotations
@@ -31,6 +32,11 @@ from .fileio import atomic_write_text
 from .gig import VideoLabels
 
 MAGIC_LINE = "gigvad-dataset v1"
+
+# largest frame count a video may declare: scoring holds a (frames, 1+C)
+# array and a list of window starts, so an unbounded count could ask for
+# any amount of memory; the workloads stay below 2,000 frames
+MAX_FRAMES = 10 ** 6
 
 # entropy tag separating dataset generation from other seeded streams
 _GEN_TAG = 101
@@ -57,6 +63,10 @@ class VideoSpec:
             raise DatasetError(f"video {self.video_id}: negative id")
         if self.frame_count < 1:
             raise DatasetError(f"video {self.video_id}: empty video")
+        if self.frame_count > MAX_FRAMES:
+            raise DatasetError(
+                f"video {self.video_id}: {self.frame_count} frames, above"
+                f" the cap of {MAX_FRAMES}")
         if self.labels.n_classes != n_classes:
             raise DatasetError(f"video {self.video_id}: label width mismatch")
         from_spans = np.zeros(n_classes, dtype=np.int64)

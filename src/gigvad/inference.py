@@ -2,7 +2,10 @@
 
 Inference slides a short window over the video, scores each window as a
 single segment through the detection head (no dropout, no randomness), and
-averages window scores into per-frame channel scores. Channel series are then
+averages window scores into per-frame channel scores. Windows are drawn from
+the backbone and scored by :func:`~gigvad.model.head_forward` in chunks of at
+most :data:`CHUNK_BYTES` of features, so a chunk costs one kernel call and a
+long video never holds all of its windows at once. Channel series are then
 Gaussian-smoothed and the overall series is the per-frame max over anomaly
 channels.
 """
@@ -18,12 +21,17 @@ from .data import DatasetSpec, VideoSpec, frame_truth
 from .errors import ConfigError, DimensionError
 from .gig import HeadParams
 from .metrics import f1_metrics, roc_auc
-from .model import run_head
+from .model import head_forward
 
 DEFAULT_WINDOW = 6
 DEFAULT_STRIDE = 3
 DEFAULT_SIGMA = 2.0
 DEFAULT_TAU = 0.5
+
+# feature bytes drawn and scored per head_forward call: enough windows to
+# amortise the per-call overhead, few enough that a long video's windows
+# never sit in memory at once
+CHUNK_BYTES = 256 * 1024
 
 
 @dataclass
@@ -67,21 +75,34 @@ def score_video(video: VideoSpec, params: HeadParams,
                 stride: int = DEFAULT_STRIDE) -> FrameScoreSeries:
     """Raw per-frame channel scores for one video (pre-smoothing).
 
-    Each window is scored as one segment; a frame covered by several windows
-    gets the arithmetic mean of their channel scores, independent of window
-    evaluation order.
+    Each window is scored as one segment (T = 1, top-p 1). The windows'
+    feature blocks are drawn in chunks of at most :data:`CHUNK_BYTES` (at
+    least one window each) and every chunk is scored by one
+    :func:`~gigvad.model.head_forward` call; a window's features depend only
+    on its frames, so the scores equal ``run_head`` on each window alone. A
+    frame covered by several windows gets the mean of their channel scores,
+    summed in window order.
     """
-    n_channels = 1 + params.n_classes
-    sums = np.zeros((video.frame_count, n_channels))
+    starts = window_starts(video.frame_count, window, stride)
+    per_chunk = max(1, CHUNK_BYTES // (8 * int(np.prod(dims))))
+    last = video.frame_count - 1
+    channel = np.empty((len(starts), 1 + params.n_classes))
+    for lo in range(0, len(starts), per_chunk):
+        chunk = starts[lo:lo + per_chunk]
+        clips = [[min(s + i, last) for i in range(window)] for s in chunk]
+        block = synthetic_backbone(clips, video, dims, feature_seed).data.data
+        channel[lo:lo + len(chunk)] = head_forward(
+            block.reshape(len(chunk), 1, -1, dims[2]), params.segment_w.data,
+            params.segment_b.data, top_k, 1)
+    sums = np.zeros((video.frame_count, channel.shape[1]))
     counts = np.zeros(video.frame_count)
-    for start in window_starts(video.frame_count, window, stride):
-        frames = [min(start + i, video.frame_count - 1) for i in range(window)]
-        feats = synthetic_backbone([frames], video, dims, feature_seed)
-        out = run_head(feats, params, top_k=top_k, top_p=1)
-        channel = out.consensus.channel_scores.data
-        stop = min(start + window, video.frame_count)
-        sums[start:stop] += channel
-        counts[start:stop] += 1.0
+    first = np.asarray(starts)
+    # offset i of every window at once; going from the last offset to the
+    # first, each frame adds its windows' scores in window order
+    for i in reversed(range(window)):
+        live = first + i <= last
+        sums[first[live] + i] += channel[live]
+        counts[first[live] + i] += 1.0
     return FrameScoreSeries(sums / counts[:, None])
 
 

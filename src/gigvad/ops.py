@@ -4,6 +4,11 @@ Every primitive computes its value with numpy and, when a tape is recording,
 registers a hand-derived backward rule. No broadcasting beyond what each rule
 states; extent mismatches raise :class:`DimensionError`.
 
+The array-level pieces the primitives are built from (``check_finite``,
+``sigmoid_values``, ``clamp_probs``, ``bce_values``, ``bce_slope``,
+``dropout_mask``) are public: the tape-free kernel in :mod:`gigvad.model`
+uses the same ones, so the two paths cannot drift apart.
+
 Tie handling: max / top-k / top-p route their subgradient to the winners,
 breaking ties by lowest row-major index. Each hands the tape its winner
 indices (by reference, as computed for the backward rule) and the distance to
@@ -30,21 +35,27 @@ _SIG_LO = np.nextafter(0.0, 1.0)
 _SIG_HI = np.nextafter(1.0, 0.0)
 
 
-def _out(arr, name: str) -> Tensor:
-    arr = np.asarray(arr, dtype=np.float64)  # 0-d arithmetic yields scalars
+def check_finite(arr, name: str):
+    """``arr`` unchanged; :class:`NumericError` naming ``name`` if any entry
+    is NaN or infinite."""
     if not np.isfinite(arr).all():
         raise NumericError(f"{name} produced a non-finite value")
-    return Tensor._wrap(arr)
+    return arr
 
 
-def _record(name: str, inputs: tuple[Tensor, ...], out: Tensor,
+def _out(arr, name: str) -> Tensor:
+    arr = np.asarray(arr, dtype=np.float64)  # 0-d arithmetic yields scalars
+    return Tensor._wrap(check_finite(arr, name))
+
+
+def _record(inputs: tuple[Tensor, ...], out: Tensor,
             backward: Callable[[np.ndarray], None],
             margin: float | None = None,
             winners: np.ndarray | None = None) -> Tensor:
     # winners: picks along the last axis, one group per leading index
     tape = active_tape()
     if tape is not None:
-        tape.record(name, inputs, out, backward, margin, winners)
+        tape.record(inputs, out, backward, margin, winners)
     return out
 
 
@@ -68,7 +79,7 @@ def affine(weight: Tensor, bias: Tensor, x: Tensor) -> Tensor:
             accumulate_grad(bias, g)
             accumulate_grad(x, weight.data.T @ g)
 
-        return _record("affine", (weight, bias, x), out, backward)
+        return _record((weight, bias, x), out, backward)
     if x.data.ndim == 2:
         if x.data.shape[1] != w.shape[1]:
             raise DimensionError(
@@ -80,25 +91,30 @@ def affine(weight: Tensor, bias: Tensor, x: Tensor) -> Tensor:
             accumulate_grad(bias, g.sum(axis=0))
             accumulate_grad(x, g @ weight.data)
 
-        return _record("affine", (weight, bias, x), out, backward)
+        return _record((weight, bias, x), out, backward)
     raise DimensionError("affine input must be a vector or a row matrix")
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    """Elementwise logistic function, strictly inside (0, 1)."""
-    d = x.data
+def sigmoid_values(d: np.ndarray) -> np.ndarray:
+    """Elementwise logistic function of an array, strictly inside (0, 1)."""
     s = np.empty_like(d)
     pos = d >= 0
     s[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
     ex = np.exp(d[~pos])
     s[~pos] = ex / (1.0 + ex)
     np.clip(s, _SIG_LO, _SIG_HI, out=s)
+    return s
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    """Elementwise logistic function, strictly inside (0, 1)."""
+    s = sigmoid_values(x.data)
     out = _out(s, "sigmoid")
 
     def backward(g: np.ndarray, x=x, s=s) -> None:
         accumulate_grad(x, g * s * (1.0 - s))
 
-    return _record("sigmoid", (x,), out, backward)
+    return _record((x,), out, backward)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -111,7 +127,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         accumulate_grad(a, g)
         accumulate_grad(b, g)
 
-    return _record("add", (a, b), out, backward)
+    return _record((a, b), out, backward)
 
 
 def scale(x: Tensor, factor: float) -> Tensor:
@@ -122,7 +138,7 @@ def scale(x: Tensor, factor: float) -> Tensor:
     def backward(g: np.ndarray, x=x, f=f) -> None:
         accumulate_grad(x, g * f)
 
-    return _record("scale", (x,), out, backward)
+    return _record((x,), out, backward)
 
 
 def apply_mask(x: Tensor, mask: np.ndarray) -> Tensor:
@@ -135,7 +151,7 @@ def apply_mask(x: Tensor, mask: np.ndarray) -> Tensor:
     def backward(g: np.ndarray, x=x, m=m) -> None:
         accumulate_grad(x, g * m)
 
-    return _record("apply_mask", (x,), out, backward)
+    return _record((x,), out, backward)
 
 
 def scale_channels(x: Tensor, gate: Tensor) -> Tensor:
@@ -149,7 +165,7 @@ def scale_channels(x: Tensor, gate: Tensor) -> Tensor:
         d = gate.data.shape[0]
         accumulate_grad(gate, (g * x.data).reshape(-1, d).sum(axis=0))
 
-    return _record("scale_channels", (x, gate), out, backward)
+    return _record((x, gate), out, backward)
 
 
 def reduce_max(x: Tensor, axes: Sequence[int] | None = None) -> Tensor:
@@ -190,7 +206,7 @@ def reduce_max(x: Tensor, axes: Sequence[int] | None = None) -> Tensor:
         gm = gm.reshape(moved.shape)
         accumulate_grad(x, np.moveaxis(gm, range(nd - len(ax), nd), ax))
 
-    return _record("reduce_max", (x,), out, backward, margin=margin,
+    return _record((x,), out, backward, margin=margin,
                    winners=win)
 
 
@@ -211,7 +227,7 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
         gx[sl] = g
         accumulate_grad(x, gx)
 
-    return _record("slice_axis", (x,), out, backward)
+    return _record((x,), out, backward)
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -221,7 +237,7 @@ def sum_all(x: Tensor) -> Tensor:
     def backward(g: np.ndarray, x=x) -> None:
         accumulate_grad(x, np.full(x.data.shape, float(g), dtype=np.float64))
 
-    return _record("sum_all", (x,), out, backward)
+    return _record((x,), out, backward)
 
 
 def cosine_map(v: Tensor, x: Tensor) -> Tensor:
@@ -257,7 +273,7 @@ def cosine_map(v: Tensor, x: Tensor) -> Tensor:
         drows = inv[:, None] * v.data[None, :] - coef[:, None] * rows
         accumulate_grad(x, drows.reshape(x.data.shape))
 
-    return _record("cosine_map", (v, x), out, backward)
+    return _record((v, x), out, backward)
 
 
 def _ranked_selection(scores: np.ndarray, count: int) -> tuple[np.ndarray, float]:
@@ -294,7 +310,7 @@ def _topk_mean_core(x: Tensor, s: np.ndarray, k: int, t: int,
         gx[np.arange(t)[:, None], sel, :] = gm[:, None, :] / k
         accumulate_grad(x, gx.reshape(x.data.shape))
 
-    return _record("topk_mean", (x,), out, backward, margin=margin,
+    return _record((x,), out, backward, margin=margin,
                    winners=sel)
 
 
@@ -349,14 +365,33 @@ def topp_mean_cols(x: Tensor, p: int) -> Tensor:
             np.broadcast_to(np.asarray(g)[:, None] / p, (cols, p)), axis=-1)
         accumulate_grad(x, gx.T.copy())
 
-    return _record("topp_mean_cols", (x,), out, backward, margin=margin,
+    return _record((x,), out, backward, margin=margin,
                    winners=sel)
 
 
-def _clamped(prob: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def clamp_probs(prob) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities clipped to [PROB_EPS, 1 - PROB_EPS], and where they
+    already lay strictly inside (only there does BCE pass a slope)."""
     clamped = np.clip(prob, PROB_EPS, 1.0 - PROB_EPS)
     inside = (prob > PROB_EPS) & (prob < 1.0 - PROB_EPS)
     return clamped, inside
+
+
+def bce_values(s, y):
+    """Elementwise BCE of clamped probabilities ``s`` against targets ``y``."""
+    return -(y * np.log(s) + (1.0 - y) * np.log1p(-s))
+
+
+def bce_slope(s, inside, y):
+    """d BCE / d probability at the clamped ``s``; 0 where clamping bit."""
+    return np.where(inside, -y / s + (1.0 - y) / (1.0 - s), 0.0)
+
+
+def dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
+    """Inverted-dropout multipliers: 0 with probability ``rate``, else
+    1/(1-rate). Draws one uniform per element from ``rng``."""
+    keep = rng.random(shape) >= rate
+    return keep / (1.0 - rate)
 
 
 def bce(prob: Tensor, target: float) -> Tensor:
@@ -364,15 +399,14 @@ def bce(prob: Tensor, target: float) -> Tensor:
     if prob.data.shape != ():
         raise DimensionError("bce expects a scalar probability")
     y = float(target)
-    s, inside = _clamped(prob.data)
-    val = -(y * np.log(s) + (1.0 - y) * np.log1p(-s))
-    out = _out(np.asarray(val), "bce")
+    s, inside = clamp_probs(prob.data)
+    out = _out(np.asarray(bce_values(s, y)), "bce")
 
     def backward(g: np.ndarray, prob=prob, s=s, inside=inside, y=y) -> None:
-        local = np.where(inside, -y / s + (1.0 - y) / (1.0 - s), 0.0)
+        local = bce_slope(s, inside, y)
         accumulate_grad(prob, np.asarray(float(g) * local))
 
-    return _record("bce", (prob,), out, backward)
+    return _record((prob,), out, backward)
 
 
 def bce_mean(probs: Tensor, targets: np.ndarray) -> Tensor:
@@ -380,16 +414,16 @@ def bce_mean(probs: Tensor, targets: np.ndarray) -> Tensor:
     y = np.asarray(targets, dtype=np.float64)
     if probs.data.shape != y.shape or probs.data.ndim != 1:
         raise DimensionError("probabilities and targets must be equal vectors")
-    s, inside = _clamped(probs.data)
+    s, inside = clamp_probs(probs.data)
     m = s.shape[0]
-    val = float(np.mean(-(y * np.log(s) + (1.0 - y) * np.log1p(-s))))
+    val = float(np.mean(bce_values(s, y)))
     out = _out(np.asarray(val), "bce_mean")
 
     def backward(g: np.ndarray, probs=probs, s=s, inside=inside, y=y, m=m) -> None:
-        local = np.where(inside, -y / s + (1.0 - y) / (1.0 - s), 0.0)
+        local = bce_slope(s, inside, y)
         accumulate_grad(probs, float(g) * local / m)
 
-    return _record("bce_mean", (probs,), out, backward)
+    return _record((probs,), out, backward)
 
 
 def dropout(x: Tensor, rate: float, training: bool,
@@ -406,8 +440,7 @@ def dropout(x: Tensor, rate: float, training: bool,
         return x
     if rng is None:
         raise ConfigError("training-mode dropout needs a generator")
-    keep = rng.random(x.data.shape) >= rate
-    return apply_mask(x, keep / (1.0 - rate))
+    return apply_mask(x, dropout_mask(x.data.shape, rate, rng))
 
 
 @dataclass(frozen=True)

@@ -80,12 +80,11 @@ def accumulate_grad(t: Tensor, delta: np.ndarray) -> None:
 
 
 class _Record:
-    __slots__ = ("name", "inputs", "output", "backward", "margin", "winners")
+    __slots__ = ("inputs", "output", "backward", "margin", "winners")
 
-    def __init__(self, name: str, inputs: tuple[Tensor, ...], output: Tensor,
+    def __init__(self, inputs: tuple[Tensor, ...], output: Tensor,
                  backward: Callable[[np.ndarray], None],
                  margin: float | None, winners: np.ndarray | None) -> None:
-        self.name = name
         self.inputs = inputs
         self.output = output
         self.backward = backward
@@ -121,12 +120,12 @@ class GradTape:
             raise RuntimeError("tape exited out of order")
         stack.pop()
 
-    def record(self, name: str, inputs: tuple[Tensor, ...], output: Tensor,
+    def record(self, inputs: tuple[Tensor, ...], output: Tensor,
                backward: Callable[[np.ndarray], None],
                margin: float | None = None,
                winners: np.ndarray | None = None) -> None:
         self._records.append(
-            _Record(name, inputs, output, backward, margin, winners))
+            _Record(inputs, output, backward, margin, winners))
 
     def min_selection_margin(self) -> float:
         """Smallest gap to a selection tie seen in the recorded forward pass."""

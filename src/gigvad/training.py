@@ -18,9 +18,9 @@ from .data import DatasetSpec
 from .errors import ConfigError, DatasetError, NumericError
 from .gig import FeatureMaps, HeadParams
 from .losses import LossBreakdown
-from .model import video_loss
+from .model import head_step
 from .spatial import default_top_k, default_top_p
-from .tensor import GradTape, Tensor
+from .tensor import Tensor
 
 ADAGRAD_EPS = 1e-10
 
@@ -173,7 +173,12 @@ def _chunks(seq: np.ndarray, size: int):
 def train(dataset: DatasetSpec, cfg: TrainConfig) -> TrainResult:
     """Run the full epoch loop and return final heads plus per-epoch losses.
 
-    Each logged epoch entry holds the means of the four loss terms over the
+    Each video step samples segments, synthesizes and maybe flips the
+    feature block, then :func:`~gigvad.model.head_step` returns the four
+    losses and the closed-form gradients of the four head tensors, and one
+    Adagrad step applies them. The step equals ``video_loss`` on a
+    ``GradTape`` bit for bit, without recording or replaying a tape. Each
+    logged epoch entry holds the means of the four loss terms over the
     epoch's videos, with the combined totals recomputed from those means.
     """
     dataset.validate()
@@ -207,11 +212,10 @@ def train(dataset: DatasetSpec, cfg: TrainConfig) -> TrainResult:
                 feats = synthetic_backbone(starts, video, cfg.dims,
                                            dataset.seed)
                 feats = hflip_augment(feats, cfg.flip_prob, rng)
-                with GradTape() as tape:
-                    total, bd = video_loss(feats, params, video.labels, k, p,
-                                           weights, cfg.dropout, True, rng)
-                adagrad_step(params, tape.gradients(total, params.tensors()),
-                             cfg.learning_rate)
+                bd, grads = head_step(
+                    feats.data.data, [t.data for t in params.tensors()],
+                    video.labels.extended(), k, p, weights, cfg.dropout, rng)
+                adagrad_step(params, grads, cfg.learning_rate)
                 term_sums += (bd.multiclass, bd.segment_overall,
                               bd.video_overall, bd.sparsity)
         history.append(_epoch_breakdown(term_sums / len(dataset.videos),

@@ -1,5 +1,6 @@
 """Config files, checkpoints, dataset files, and the command line."""
 
+import re
 import struct
 from dataclasses import fields
 
@@ -13,10 +14,11 @@ from gigvad.checkpoint import (checkpoint_bytes, expected_size, load_checkpoint,
                                save_checkpoint)
 from gigvad.cli import main
 from gigvad.config import Config, format_config, parse_config
-from gigvad.data import (format_dataset, generate_dataset, parse_dataset,
-                         read_dataset, write_dataset)
+from gigvad.data import (MAX_FRAMES, format_dataset, generate_dataset,
+                         parse_dataset, read_dataset, write_dataset)
 from gigvad.errors import CheckpointError, ConfigError, DatasetError
 from gigvad.gig import HeadParams
+from gigvad.tensor import Tensor
 
 # a header declaring one video, followed by two video lines and a stray line
 SURPLUS_LINES = ("gigvad-dataset v1\nN = 1\nC = 1\nseed = 0\n"
@@ -212,6 +214,13 @@ class TestDatasetFile:
         write_dataset(path, spec)
         assert read_dataset(path).videos[4].video_id == 4
 
+    def test_frame_count_cap(self):
+        line = "gigvad-dataset v1\nN = 1\nC = 1\nseed = 0\n0 {} 0 -\n"
+        assert parse_dataset(line.format(MAX_FRAMES)).videos[0].frame_count \
+            == MAX_FRAMES
+        with pytest.raises(DatasetError, match="cap"):
+            parse_dataset(line.format(MAX_FRAMES + 1))
+
     def test_bad_magic_line(self):
         with pytest.raises(DatasetError, match="line 1"):
             parse_dataset("nonsense\nN = 1\nC = 1\nseed = 0\n0 10 0 -\n")
@@ -394,6 +403,8 @@ class TestCli:
         pytest.param("checkpoint",
                      (PAYLOAD_AT, struct.pack("<d", float("nan"))), 2,
                      id="checkpoint-nan-2"),
+        pytest.param("test-data", (r"\n100 \d+ ", "\n100 10000000000000 "), 2,
+                     id="test-data-frames-1e13-2"),
     ])
     def test_bad_input_named_error_exit_code(self, cli_env, tmp_path, capsys,
                                              kind, arg, want):
@@ -410,13 +421,20 @@ class TestCli:
         elif kind == "dataset":
             (tmp_path / "bad.txt").write_text(arg)
             argv = [*train, "--data", str(tmp_path / "bad.txt")]
-        elif kind == "checkpoint":
+        elif kind in ("checkpoint", "test-data"):
             params = HeadParams.initialize(16, 2, np.random.default_rng(0))
-            bad = tmp_path / "bad.bin"
-            bad.write_bytes(_resealed(checkpoint_bytes(params, 4, 2), *arg))
+            blob = checkpoint_bytes(params, 4, 2)
+            test = cli_env["test"]
+            if kind == "checkpoint":
+                blob = _resealed(blob, *arg)
+            else:
+                test = tmp_path / "bad.txt"
+                test.write_text(re.sub(*arg, cli_env["test"].read_text(),
+                                       count=1))
+            (tmp_path / "bad.bin").write_bytes(blob)
             argv = ["eval", "--config", str(cli_env["cfg"]),
-                    "--checkpoint", str(bad), "--data", str(cli_env["test"]),
-                    "--out-dir", str(tmp_path / "out")]
+                    "--checkpoint", str(tmp_path / "bad.bin"),
+                    "--data", str(test), "--out-dir", str(tmp_path / "out")]
         else:
             bad = tmp_path / "bad.txt"
             bad.write_text(cli_env["train"].read_text().replace(*arg, 1))
@@ -427,6 +445,19 @@ class TestCli:
         assert err.startswith(prefix) and "Traceback" not in err
         if want == 1:
             assert echoed == ""  # rejected before the config is echoed
+        assert not (tmp_path / "out").exists()
+
+    def test_overflowing_head_exits_three(self, cli_env, tmp_path, capsys):
+        params = HeadParams.initialize(16, 2, np.random.default_rng(0))
+        params.segment_w = Tensor(np.full(params.segment_w.shape, 1e308))
+        ckpt = tmp_path / "big.bin"
+        ckpt.write_bytes(checkpoint_bytes(params, 4, 2))
+        assert main(["eval", "--config", str(cli_env["cfg"]),
+                     "--checkpoint", str(ckpt), "--data", str(cli_env["test"]),
+                     "--out-dir", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: affine")
+        assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     def test_corrupt_checkpoint_exits_two(self, cli_env, capsys):
