@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import ops
 from .data import VideoSpec
 from .errors import ConfigError
 from .gig import FeatureMaps
@@ -74,7 +75,8 @@ def synthetic_backbone(clip_starts: Sequence[Sequence[int]], video: VideoSpec,
             for r, c in signature_cells(cls, rows, cols):
                 seg[r, c, lo:hi] += SIGNATURE_OFFSET
         block[t] = seg
-    return FeatureMaps(Tensor(block))
+    # the block is fresh: check it and take it over without a copy
+    return FeatureMaps(Tensor._wrap(ops.check_finite(block, "backbone")))
 
 
 def _active_classes(video: VideoSpec, starts: Sequence[int]) -> list[int]:

@@ -15,9 +15,9 @@ File format (UTF-8 text)::
     <id> <frame_count> <label bits> <spans>
 
 Exactly N video lines follow the header; blank lines may trail them, nothing
-else may. Frame counts lie in [1, MAX_FRAMES]. Label bits are C characters of
-0/1 (class 1 first). Spans are ``-`` for none, else comma-separated
-``class:start-end`` with inclusive end frames.
+else may. C is at most MAX_CLASSES and frame counts lie in [1, MAX_FRAMES].
+Label bits are C characters of 0/1 (class 1 first). Spans are ``-`` for
+none, else comma-separated ``class:start-end`` with inclusive end frames.
 """
 
 from __future__ import annotations
@@ -37,6 +37,12 @@ MAGIC_LINE = "gigvad-dataset v1"
 # array and a list of window starts, so an unbounded count could ask for
 # any amount of memory; the workloads stay below 2,000 frames
 MAX_FRAMES = 10 ** 6
+
+# largest anomaly class count and generated video count: labels, heads and
+# score arrays grow with the classes, the generator's arrays with the
+# videos; the workloads use 3 classes and at most 200 videos
+MAX_CLASSES = 64
+MAX_VIDEOS = 10 ** 5
 
 # entropy tag separating dataset generation from other seeded streams
 _GEN_TAG = 101
@@ -132,11 +138,17 @@ def generate_dataset(n_videos: int, n_anomalous: int, n_classes: int,
     """
     if not (0 <= n_anomalous <= n_videos):
         raise DatasetError("anomalous count out of range")
+    if n_videos > MAX_VIDEOS:
+        raise DatasetError(f"{n_videos} videos, above the cap of {MAX_VIDEOS}")
     if n_classes < 1:
         raise DatasetError("need at least one anomaly class")
+    if n_classes > MAX_CLASSES:
+        raise DatasetError(
+            f"{n_classes} classes, above the cap of {MAX_CLASSES}")
     if seed < 0 or start_id < 0:
         raise DatasetError("seed and start id must be non-negative")
-    if not (1 <= frames[0] <= frames[1]) or not (0 < cover[0] <= cover[1] <= 1):
+    if not (1 <= frames[0] <= frames[1] <= MAX_FRAMES) \
+            or not (0 < cover[0] <= cover[1] <= 1):
         raise DatasetError("bad frame range or cover range")
     rng = np.random.default_rng(
         np.random.SeedSequence((_GEN_TAG, seed, start_id, n_videos)))
@@ -230,6 +242,9 @@ def parse_dataset(text: str) -> DatasetSpec:
         except ValueError as exc:
             raise DatasetError(f"line {lineno}: bad integer") from exc
     n, n_classes = header["N"], header["C"]
+    if n_classes > MAX_CLASSES:
+        raise DatasetError(f"line 3: C = {n_classes}, above the cap of"
+                           f" {MAX_CLASSES}")
     body = lines[4:]
     while body and not body[-1].strip():
         body.pop()

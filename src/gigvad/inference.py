@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backbone import synthetic_backbone
-from .data import DatasetSpec, VideoSpec, frame_truth
+from .data import MAX_FRAMES, DatasetSpec, VideoSpec, frame_truth
 from .errors import ConfigError, DimensionError
 from .gig import HeadParams
 from .metrics import f1_metrics, roc_auc
@@ -27,6 +27,10 @@ DEFAULT_WINDOW = 6
 DEFAULT_STRIDE = 3
 DEFAULT_SIGMA = 2.0
 DEFAULT_TAU = 0.5
+
+# largest smoothing sigma: the kernel's radius, ceil(4 * sigma), stays within
+# MAX_FRAMES, so its length is bounded; the workloads use 2.0
+MAX_SIGMA = MAX_FRAMES / 4
 
 # feature bytes drawn and scored per head_forward call: enough windows to
 # amortise the per-call overhead, few enough that a long video's windows
@@ -58,9 +62,15 @@ class FrameScoreSeries:
 
 def window_starts(frame_count: int, window: int = DEFAULT_WINDOW,
                   stride: int = DEFAULT_STRIDE) -> list[int]:
-    """Start frames of the scoring windows; the last one clamps to the end."""
+    """Start frames of the scoring windows; the last one clamps to the end.
+
+    ``stride`` may not exceed ``window``: a wider step would skip frames,
+    whose scores would then be 0/0.
+    """
     if frame_count < 1 or window < 1 or stride < 1:
         raise ConfigError("frame count, window, and stride must be positive")
+    if stride > window:
+        raise ConfigError("stride must not exceed window")
     if frame_count <= window:
         return [0]
     starts = list(range(0, frame_count - window + 1, stride))
@@ -118,6 +128,8 @@ def gaussian_smooth(series, sigma: float = DEFAULT_SIGMA) -> np.ndarray:
         raise DimensionError("series must be a non-empty 1-D array")
     if not (np.isfinite(sigma) and sigma > 0):
         raise ConfigError("sigma must be finite and positive")
+    if sigma > MAX_SIGMA:
+        raise ConfigError(f"sigma must be at most {MAX_SIGMA}")
     radius = int(np.ceil(4.0 * sigma))
     offsets = np.arange(-radius, radius + 1, dtype=np.float64)
     kernel = np.exp(-0.5 * (offsets / sigma) ** 2)

@@ -1,5 +1,9 @@
 """Segment sampling, augmentation, the Adagrad optimizer, and the epoch loop.
 
+:func:`train` takes the one configuration type, :class:`~gigvad.config.Config`
+(``TrainConfig`` names the same class), whose caps on segments, clips, grid,
+channels and feature-block size bound every array of a video step.
+
 Determinism contract: everything random is drawn from generators seeded by
 tuples of (config seed, purpose tag, epoch, video id), so a fixed seed
 reproduces sampling, masks, initialization, and final weights bit-for-bit,
@@ -8,18 +12,17 @@ and per-video streams are independent of batch composition.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .backbone import synthetic_backbone
+from .config import Config
 from .data import DatasetSpec
 from .errors import ConfigError, DatasetError, NumericError
 from .gig import FeatureMaps, HeadParams
 from .losses import LossBreakdown
 from .model import head_step
-from .spatial import default_top_k, default_top_p
 from .tensor import Tensor
 
 ADAGRAD_EPS = 1e-10
@@ -29,74 +32,8 @@ _INIT_TAG = 1
 _SHUFFLE_TAG = 2
 _VIDEO_TAG = 3
 
-
-@dataclass
-class TrainConfig:
-    """Training hyperparameters and synthetic feature dimensions.
-
-    Every value is checked when the config is built (``__post_init__``), so
-    an instance always holds finite floats, a non-negative seed and, when
-    given, ``top_k`` in [1, rows*cols] and ``top_p`` in [1, segments].
-    ``dataclasses.replace`` re-runs the checks.
-    """
-
-    segments: int = 8            # T
-    clips_per_segment: int = 6
-    clip_interval: int = 5       # frames between consecutive clip starts
-    batch_size: int = 8
-    learning_rate: float = 0.001
-    epochs: int = 100
-    dropout: float = 0.5
-    flip_prob: float = 0.5
-    top_k: int | None = None     # None: quarter of the spatial cells
-    top_p: int | None = None     # None: quarter of the segments
-    lambda1: float = 1.0
-    lambda2: float = 0.5
-    lambda3: float = 0.1
-    seed: int = 7
-    rows: int = 4                # w
-    cols: int = 4                # h
-    channels: int = 32           # d
-
-    def __post_init__(self) -> None:
-        counts = (self.segments, self.clips_per_segment, self.clip_interval,
-                  self.batch_size, self.rows, self.cols, self.channels)
-        if any(c < 1 for c in counts):
-            raise ConfigError("all counts must be positive")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be non-negative")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
-        if not (0.0 <= self.dropout < 1.0):
-            raise ConfigError("dropout must lie in [0, 1)")
-        if not (0.0 <= self.flip_prob <= 1.0):
-            raise ConfigError("flip_prob must lie in [0, 1]")
-        if not all(math.isfinite(w) and w >= 0 for w in self.weights):
-            raise ConfigError("loss weights must be finite and non-negative")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigError("learning rate must be finite and positive")
-        for name, value, top in (("top_k", self.top_k, self.rows * self.cols),
-                                 ("top_p", self.top_p, self.segments)):
-            if value is not None and not (1 <= value <= top):
-                raise ConfigError(f"{name} must lie in [1, {top}]")
-
-    @property
-    def resolved_k(self) -> int:
-        return self.top_k if self.top_k is not None else default_top_k(
-            self.rows, self.cols)
-
-    @property
-    def resolved_p(self) -> int:
-        return self.top_p if self.top_p is not None else default_top_p(
-            self.segments)
-
-    @property
-    def weights(self) -> tuple[float, float, float]:
-        return (self.lambda1, self.lambda2, self.lambda3)
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return (self.rows, self.cols, self.channels)
+# the one configuration type under the name the training API first had
+TrainConfig = Config
 
 
 @dataclass
@@ -139,8 +76,9 @@ def hflip_augment(feats: FeatureMaps, prob: float,
     """With probability ``prob``, reverse the feature block's row axis."""
     if rng.random() >= prob:
         return feats
+    # a flipped copy of values already checked finite: wrap it as it is
     flipped = np.ascontiguousarray(feats.data.data[:, ::-1, :, :])
-    return FeatureMaps(Tensor(flipped), enhanced=feats.enhanced)
+    return FeatureMaps(Tensor._wrap(flipped), enhanced=feats.enhanced)
 
 
 def adagrad_step(params: HeadParams, grads, lr: float) -> None:
@@ -170,7 +108,7 @@ def _chunks(seq: np.ndarray, size: int):
         yield seq[i:i + size]
 
 
-def train(dataset: DatasetSpec, cfg: TrainConfig) -> TrainResult:
+def train(dataset: DatasetSpec, cfg: Config) -> TrainResult:
     """Run the full epoch loop and return final heads plus per-epoch losses.
 
     Each video step samples segments, synthesizes and maybe flips the

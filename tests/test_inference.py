@@ -6,7 +6,7 @@ import pytest
 from gigvad.data import AnomalySpan, frame_truth, generate_dataset
 from gigvad.errors import ConfigError, DimensionError, MetricError
 from gigvad.gig import HeadParams
-from gigvad.inference import (FrameScoreSeries, classify_frames,
+from gigvad.inference import (MAX_SIGMA, FrameScoreSeries, classify_frames,
                               evaluate_dataset, gaussian_smooth, score_video,
                               smooth_series, window_starts)
 from gigvad.metrics import f1_metrics, roc_auc
@@ -35,6 +35,12 @@ class TestWindowStarts:
             for s in starts:
                 covered.update(range(s, min(s + 6, frame_count)))
             assert covered == set(range(frame_count))
+
+    def test_stride_above_window_rejected(self):
+        # window 2, stride 5 would leave frames 2-4 of every 5 unscored
+        with pytest.raises(ConfigError, match="stride must not exceed"):
+            window_starts(20, 2, 5)
+        assert window_starts(20, 5, 5) == [0, 5, 10, 15]
 
 
 def _trained_like_params(rng, channels=32, n_classes=3):
@@ -125,6 +131,12 @@ class TestGaussianSmooth:
             gaussian_smooth(np.ones((2, 2)), sigma=2.0)
         with pytest.raises(DimensionError):
             gaussian_smooth(np.array([]), sigma=2.0)
+
+    def test_sigma_cap(self):
+        # the kernel's radius, ceil(4 * sigma), is what a sigma costs
+        with pytest.raises(ConfigError, match="at most"):
+            gaussian_smooth(np.ones(5), sigma=MAX_SIGMA * (1 + 1e-9))
+        assert np.allclose(gaussian_smooth(np.ones(5), sigma=MAX_SIGMA), 1.0)
 
     def test_smooth_series_per_channel(self, rng):
         scores = rng.uniform(size=(30, 3))

@@ -1,23 +1,32 @@
 """Config files, checkpoints, dataset files, and the command line."""
 
+import contextlib
+import io
 import re
 import struct
+import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gigvad
 from gigvad.checkpoint import (checkpoint_bytes, expected_size, load_checkpoint,
                                parse_checkpoint, payload_floats,
                                save_checkpoint)
 from gigvad.cli import main
-from gigvad.config import Config, format_config, parse_config
-from gigvad.data import (MAX_FRAMES, format_dataset, generate_dataset,
-                         parse_dataset, read_dataset, write_dataset)
+from gigvad.config import (_FIELD_PARSERS, MAX_CHANNELS, MAX_CLIPS,
+                           MAX_FEATURE_ELEMENTS, MAX_GRID, MAX_SEGMENTS,
+                           Config, format_config, parse_config)
+from gigvad.data import (MAX_CLASSES, MAX_FRAMES, format_dataset,
+                         generate_dataset, parse_dataset, read_dataset,
+                         write_dataset)
 from gigvad.errors import CheckpointError, ConfigError, DatasetError
 from gigvad.gig import HeadParams
+from gigvad.inference import MAX_SIGMA
 from gigvad.tensor import Tensor
 
 # a header declaring one video, followed by two video lines and a stray line
@@ -87,6 +96,35 @@ seed = 9
                      "tau = nan", "top_k = 99", "top_p = 9", "window = 0"):
             with pytest.raises(ConfigError, match="invalid configuration"):
                 parse_config(text + "\n")
+
+    def test_one_config_class(self):
+        assert gigvad.TrainConfig is Config
+        assert Config.__mro__ == (Config, object)
+        assert list(_FIELD_PARSERS) == [f.name for f in fields(Config)]
+        cfg = Config()
+        assert cfg.train_config() is cfg
+        assert cfg.dims == (4, 4, 32) and cfg.weights == (1.0, 0.5, 0.1)
+
+    @pytest.mark.parametrize("name, cap, extra", [
+        ("segments", MAX_SEGMENTS, {"channels": 1}),
+        ("clips_per_segment", MAX_CLIPS, {}),
+        ("rows", MAX_GRID, {"channels": 1}),
+        ("cols", MAX_GRID, {"channels": 1}),
+        ("channels", MAX_CHANNELS, {}),
+        ("window", MAX_FRAMES, {}),
+        ("sigma", MAX_SIGMA, {}),
+    ])
+    def test_count_caps(self, name, cap, extra):
+        assert getattr(Config(**{name: cap}, **extra), name) == cap
+        with pytest.raises(ConfigError, match=f"{name} must be at most"):
+            Config(**{name: cap + 1}, **extra)
+
+    def test_feature_block_cap(self):
+        at_cap = dict(segments=MAX_FEATURE_ELEMENTS // (16 * MAX_CHANNELS),
+                      rows=4, cols=4, channels=MAX_CHANNELS)
+        assert Config(**at_cap).segments == 256
+        with pytest.raises(ConfigError, match="feature block"):
+            Config(**{**at_cap, "segments": 257})
 
     def test_format_parse_roundtrip(self):
         cfg = Config(epochs=3, top_k=5, train_data="a.txt", sigma=1.5)
@@ -220,6 +258,14 @@ class TestDatasetFile:
             == MAX_FRAMES
         with pytest.raises(DatasetError, match="cap"):
             parse_dataset(line.format(MAX_FRAMES + 1))
+
+    def test_class_cap(self):
+        text = "gigvad-dataset v1\nN = 1\nC = {}\nseed = 0\n0 10 {} -\n"
+        assert parse_dataset(text.format(MAX_CLASSES, "0" * MAX_CLASSES)) \
+            .n_classes == MAX_CLASSES
+        with pytest.raises(DatasetError, match="line 3:.*cap"):
+            parse_dataset(text.format(MAX_CLASSES + 1,
+                                      "0" * (MAX_CLASSES + 1)))
 
     def test_bad_magic_line(self):
         with pytest.raises(DatasetError, match="line 1"):
@@ -405,6 +451,12 @@ class TestCli:
                      id="checkpoint-nan-2"),
         pytest.param("test-data", (r"\n100 \d+ ", "\n100 10000000000000 "), 2,
                      id="test-data-frames-1e13-2"),
+        ("config", "stride = 7", 1),  # window 6: frames would go unscored
+        ("config", "channels = 10000000000000", 1),
+        ("config", "sigma = 10000000000000.0", 1),  # kernel of 8e13 taps
+        ("generate", "--videos 10000000000000", 2),
+        ("generate", "--classes 10000000000000", 2),
+        ("generate", "--frames 1 100000000000000000000", 2),  # above int64
     ])
     def test_bad_input_named_error_exit_code(self, cli_env, tmp_path, capsys,
                                              kind, arg, want):
@@ -470,3 +522,98 @@ class TestCli:
                      "--checkpoint", str(broken),
                      "--data", str(cli_env["test"])]) == 2
         capsys.readouterr()
+
+
+# sizes a run can ask for: tiny, or past every cap (so nothing is allocated)
+_HUGE = 10 ** 13
+_TINY_OR_HUGE = st.one_of(st.integers(1, 4), st.just(_HUGE),
+                          st.sampled_from([-1, 0])).map(str)
+_COUNT_KEYS = ["segments", "clips_per_segment", "clip_interval", "batch_size",
+               "top_k", "top_p", "seed", "rows", "cols", "channels", "window",
+               "stride"]
+_FLOAT_KEYS = [f.name for f in fields(Config) if f.type == "float"]
+_PREFIXES = {1: ("usage error:", "configuration error:"), 2: ("i/o error:",),
+             3: ("numeric failure:",)}
+
+
+@st.composite
+def _config_texts(draw):
+    """Config text with a tiny epoch count; no path keys, so every file the
+    run writes lands under the flags' directories."""
+    lines = [("epochs", draw(st.integers(0, 2).map(str)))]
+    lines += draw(st.lists(st.one_of(
+        st.tuples(st.sampled_from(_COUNT_KEYS), _TINY_OR_HUGE),
+        st.tuples(st.sampled_from(_FLOAT_KEYS),
+                  st.one_of(st.floats(0.05, 0.95).map(repr),
+                            st.just(repr(float(_HUGE))), _VALUES))),
+        max_size=4, unique_by=lambda line: line[0]))
+    return "".join(f"{key} = {value}\n" for key, value in lines)
+
+
+@st.composite
+def _dataset_texts(draw):
+    """A small generated dataset file, maybe with one field replaced, or
+    any short text."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.text(max_size=40))
+    n_videos = draw(st.integers(2, 4))
+    spec = generate_dataset(n_videos, draw(st.integers(0, n_videos)),
+                            draw(st.integers(1, 2)), draw(st.integers(0, 9)),
+                            frames=(8, 30), cover=(0.2, 0.8))
+    lines = format_dataset(spec).splitlines()
+    if draw(st.integers(0, 2)) == 0:
+        at = draw(st.integers(0, len(lines) - 1))
+        words = lines[at].split(" ")
+        words[draw(st.integers(0, len(words) - 1))] = draw(
+            st.one_of(_TINY_OR_HUGE, st.text(max_size=6)))
+        lines[at] = " ".join(words)
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _checkpoint_files(draw):
+    """Checkpoint bytes for small heads, maybe patched and re-sealed, maybe
+    cut short; None (two draws in three) stands for the checkpoint the train
+    run wrote."""
+    if draw(st.integers(0, 2)):
+        return None
+    params = HeadParams.initialize(draw(st.sampled_from([1, 2, 4, 32])),
+                                   draw(st.integers(1, 2)),
+                                   np.random.default_rng(0))
+    blob = checkpoint_bytes(params, draw(st.integers(1, 40)),
+                            draw(st.integers(1, 10)))
+    if draw(st.booleans()):
+        at = draw(st.integers(8, len(blob) - 16))
+        blob = _resealed(blob, at, draw(st.binary(min_size=1, max_size=8)))
+    if draw(st.booleans()):
+        blob = blob[:draw(st.integers(0, len(blob) - 1))]
+    return blob
+
+
+def _run(argv: list[str]) -> None:
+    """``main(argv)`` must return a code whose diagnostic names the error."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)  # any exception escaping main fails the property
+    assert rc in (0, 1, 2, 3), rc
+    if rc:
+        assert err.getvalue().startswith(_PREFIXES[rc]), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_config_texts(), _dataset_texts(), _checkpoint_files())
+def test_cli_ends_in_exit_code_or_named_error(config, dataset, checkpoint):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "run.cfg").write_text(config, encoding="utf-8")
+        (root / "data.txt").write_text(dataset, encoding="utf-8")
+        common = ["--config", str(root / "run.cfg"),
+                  "--data", str(root / "data.txt")]
+        _run(["train", *common, "--out-dir", str(root / "train")])
+        ckpt = root / "train" / "checkpoint.bin"
+        if checkpoint is not None:
+            ckpt = root / "given.bin"
+            ckpt.write_bytes(checkpoint)
+        _run(["eval", *common, "--checkpoint", str(ckpt),
+              "--out-dir", str(root / "eval")])
