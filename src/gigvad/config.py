@@ -185,7 +185,12 @@ def parse_config(text: str) -> Config:
 
 
 def load_config(path: str | Path) -> Config:
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason} at byte"
+                          f" {exc.start}") from exc
+    return parse_config(text)
 
 
 def format_config(cfg: Config) -> str:

@@ -292,4 +292,9 @@ def _parse_video(line: str, lineno: int, n_classes: int) -> VideoSpec:
 
 
 def read_dataset(path: str | Path) -> DatasetSpec:
-    return parse_dataset(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: not UTF-8 text: {exc.reason} at byte"
+                           f" {exc.start}") from exc
+    return parse_dataset(text)

@@ -4,10 +4,13 @@
 (``TrainConfig`` names the same class), whose caps on segments, clips, grid,
 channels and feature-block size bound every array of a video step.
 
-Determinism contract: everything random is drawn from generators seeded by
-tuples of (config seed, purpose tag, epoch, video id), so a fixed seed
-reproduces sampling, masks, initialization, and final weights bit-for-bit,
-and per-video streams are independent of batch composition.
+Determinism contract: everything random is drawn from the PCG64 streams
+that ``SeedSequence`` gives tuples of (config seed, purpose tag, epoch, video
+id), so a fixed seed reproduces sampling, masks, initialization, and final
+weights bit-for-bit, and per-video streams are independent of batch
+composition. Each epoch keys its shuffle and all of its video streams in one
+pass (:func:`~gigvad.backbone._pcg64_keys`), and the run's one generator
+is set to each stream's state before it draws from it.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backbone import synthetic_backbone
+from .backbone import _pcg64_keys, _set_state, synthetic_backbone
 from .config import Config
 from .data import DatasetSpec
 from .errors import ConfigError, DatasetError, NumericError
@@ -126,24 +129,28 @@ def train(dataset: DatasetSpec, cfg: Config) -> TrainResult:
     if cfg.channels < dataset.n_classes:
         raise ConfigError("channel count below class count")
 
-    init_rng = np.random.default_rng(
-        np.random.SeedSequence((cfg.seed, _INIT_TAG)))
-    params = HeadParams.initialize(cfg.channels, dataset.n_classes, init_rng)
+    # the run's one generator; every stream below sets its state first
+    rng = np.random.Generator(np.random.PCG64())
+    _set_state(rng, _pcg64_keys([(cfg.seed, _INIT_TAG)])[0])
+    params = HeadParams.initialize(cfg.channels, dataset.n_classes, rng)
     k, p, weights = cfg.resolved_k, cfg.resolved_p, cfg.weights
     history: list[LossBreakdown] = []
 
     for epoch in range(1, cfg.epochs + 1):
-        shuffle_rng = np.random.default_rng(
-            np.random.SeedSequence((cfg.seed, _SHUFFLE_TAG, epoch)))
-        order = shuffle_rng.permutation(len(dataset.videos))
+        # the epoch's shuffle and per-video streams, keyed in one pass
+        shuffle, *streams = _pcg64_keys(
+            [(cfg.seed, _SHUFFLE_TAG, epoch)]
+            + [(cfg.seed, _VIDEO_TAG, epoch, video.video_id)
+               for video in dataset.videos])
+        _set_state(rng, shuffle)
+        order = rng.permutation(len(dataset.videos))
         term_sums = np.zeros(4)
         for batch in _chunks(order, cfg.batch_size):
             # batch items are independent given the shuffle; the optimizer
             # step applies per video, serialized in batch index order
             for pos in batch:
                 video = dataset.videos[int(pos)]
-                rng = np.random.default_rng(np.random.SeedSequence(
-                    (cfg.seed, _VIDEO_TAG, epoch, video.video_id)))
+                _set_state(rng, streams[int(pos)])
                 starts = sample_segments(video.frame_count, cfg.segments,
                                          cfg.clips_per_segment,
                                          cfg.clip_interval, rng)

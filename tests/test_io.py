@@ -457,13 +457,17 @@ class TestCli:
         ("generate", "--videos 10000000000000", 2),
         ("generate", "--classes 10000000000000", 2),
         ("generate", "--frames 1 100000000000000000000", 2),  # above int64
+        pytest.param("config", b"\xff\xfe", 1, id="config-not-utf8-1"),
+        pytest.param("data", (b"\n1 ", b"\xff\n1 "), 2,
+                     id="data-not-utf8-2"),  # video line 0 ends in 0xff
     ])
     def test_bad_input_named_error_exit_code(self, cli_env, tmp_path, capsys,
                                              kind, arg, want):
         train = ["train", "--data", str(cli_env["train"]),
                  "--out-dir", str(tmp_path / "out")]
         if kind == "config":
-            (tmp_path / "bad.cfg").write_text(arg + "\n")
+            (tmp_path / "bad.cfg").write_bytes(
+                arg if isinstance(arg, bytes) else (arg + "\n").encode())
             argv = [*train, "--config", str(tmp_path / "bad.cfg")]
         elif kind == "flag":
             argv = [*train, *arg.split()]
@@ -489,7 +493,10 @@ class TestCli:
                     "--data", str(test), "--out-dir", str(tmp_path / "out")]
         else:
             bad = tmp_path / "bad.txt"
-            bad.write_text(cli_env["train"].read_text().replace(*arg, 1))
+            if isinstance(arg[0], bytes):
+                bad.write_bytes(cli_env["train"].read_bytes().replace(*arg, 1))
+            else:
+                bad.write_text(cli_env["train"].read_text().replace(*arg, 1))
             argv = [*train, "--data", str(bad)]  # the last --data wins
         assert main(argv) == want
         echoed, err = capsys.readouterr()
@@ -590,6 +597,20 @@ def _checkpoint_files(draw):
     return blob
 
 
+@st.composite
+def _file_bytes(draw, texts):
+    """A file's bytes: the drawn text in UTF-8, maybe with raw bytes put
+    in at one place, or any short bytes."""
+    data = draw(texts).encode("utf-8")
+    choice = draw(st.integers(0, 5))
+    if choice == 0:
+        return draw(st.binary(max_size=40))
+    if choice == 1:
+        at = draw(st.integers(0, len(data)))
+        return data[:at] + draw(st.binary(min_size=1, max_size=4)) + data[at:]
+    return data
+
+
 def _run(argv: list[str]) -> None:
     """``main(argv)`` must return a code whose diagnostic names the error."""
     out, err = io.StringIO(), io.StringIO()
@@ -602,12 +623,13 @@ def _run(argv: list[str]) -> None:
 
 
 @settings(max_examples=200, deadline=None)
-@given(_config_texts(), _dataset_texts(), _checkpoint_files())
+@given(_file_bytes(_config_texts()), _file_bytes(_dataset_texts()),
+       _checkpoint_files())
 def test_cli_ends_in_exit_code_or_named_error(config, dataset, checkpoint):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        (root / "run.cfg").write_text(config, encoding="utf-8")
-        (root / "data.txt").write_text(dataset, encoding="utf-8")
+        (root / "run.cfg").write_bytes(config)
+        (root / "data.txt").write_bytes(dataset)
         common = ["--config", str(root / "run.cfg"),
                   "--data", str(root / "data.txt")]
         _run(["train", *common, "--out-dir", str(root / "train")])

@@ -1,13 +1,20 @@
 """Sampling, the synthetic backbone, augmentation, Adagrad, and the loop."""
 
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gigvad.backbone import (SIGNATURE_OFFSET, signature_cells,
-                             signature_channels, synthetic_backbone)
+from gigvad import backbone, training
+from gigvad.backbone import (_FEATURE_TAG, SIGNATURE_OFFSET, _pcg64_keys,
+                             _set_state, signature_cells, signature_channels,
+                             synthetic_backbone)
 from gigvad.data import AnomalySpan, DatasetSpec, VideoSpec, generate_dataset
 from gigvad.errors import ConfigError, DatasetError, NumericError
 from gigvad.gig import FeatureMaps, HeadParams, VideoLabels
+from gigvad.inference import score_video
 from gigvad.ops import dropout
 from gigvad.tensor import Tensor
 from gigvad.training import (TrainConfig, adagrad_step, hflip_augment,
@@ -118,6 +125,126 @@ class TestSyntheticBackbone:
         spans = [signature_channels(c, 3, 32) for c in (1, 2, 3)]
         for (a_lo, a_hi), (b_lo, b_hi) in zip(spans, spans[1:]):
             assert a_hi <= b_lo
+
+
+def _oracle_backbone(clip_starts, video, dims, seed):
+    """The backbone as a per-segment loop: a fresh SeedSequence and
+    generator for every segment, and each active class's offsets added to
+    that segment alone."""
+    rows, cols, channels = dims
+    block = np.empty((len(clip_starts), rows, cols, channels))
+    for t, starts in enumerate(clip_starts):
+        rng = np.random.default_rng(np.random.SeedSequence(
+            (_FEATURE_TAG, seed, video.video_id, *map(int, starts))))
+        seg = rng.standard_normal((rows, cols, channels))
+        active = {span.cls for span in video.spans
+                  if any(span.start <= f <= span.end for f in starts)}
+        for cls in sorted(active):
+            lo, hi = signature_channels(cls, video.labels.n_classes, channels)
+            for r, c in signature_cells(cls, rows, cols):
+                seg[r, c, lo:hi] += SIGNATURE_OFFSET
+        block[t] = seg
+    return block
+
+
+class TestBackboneOracle:
+    # class 1 covers frames 10-40, class 2 frames 35-70: clips at 35-40
+    # see both classes in one segment
+    VIDEO = _video(6, frame_count=120, classes=[1, 2],
+                   spans=[AnomalySpan(1, 10, 40), AnomalySpan(2, 35, 70),
+                          AnomalySpan(1, 90, 95)])
+
+    def _check(self, clip_starts, dims, seed=7, video=VIDEO):
+        got = synthetic_backbone(clip_starts, video, dims, seed).data.data
+        assert np.array_equal(got, _oracle_backbone(clip_starts, video, dims,
+                                                    seed))
+        return got
+
+    @pytest.mark.parametrize("segments", [0, 1, 8, 16])
+    def test_segment_counts(self, segments):
+        starts = sample_segments(120, segments, 6, 5,
+                                 np.random.default_rng(segments)) \
+            if segments else []
+        got = self._check(starts, (4, 4, 32))
+        assert got.shape == (segments, 4, 4, 32)
+
+    @pytest.mark.parametrize("dims", [(1, 1, 3), (2, 3, 5)])
+    def test_wrapped_signature_cells(self, dims):
+        starts = [[s + 5 * j for j in range(6)] for s in range(0, 90, 6)]
+        self._check(starts, dims)
+
+    def test_two_classes_in_one_segment(self):
+        starts = [[30, 33, 36, 39], [0, 1, 2, 3], [36, 60, 92, 110]]
+        got = self._check(starts, (4, 4, 32))
+        for cls in (1, 2):
+            lo, hi = signature_channels(cls, 3, 32)
+            r, c = signature_cells(cls, 4, 4)[0]
+            assert got[0, r, c, lo:hi].mean() > SIGNATURE_OFFSET - 1.5
+
+    def test_ragged_and_multiword_entropy(self):
+        # rows of 3 to 9 entropy words, and values of 2 and 3 words
+        starts = [[], [5], [0, 0, 0], [2 ** 33, 36], [1, 2, 3, 4, 5, 6],
+                  [2 ** 62]]
+        self._check(starts, (2, 3, 5))
+        self._check(starts, (2, 3, 5), seed=2 ** 70,
+                    video=_video(2 ** 35 + 1, spans=[AnomalySpan(1, 0, 9)]))
+
+    def test_threads_scoring_two_videos_get_serial_bits(self):
+        rng = np.random.default_rng(3)
+        params = HeadParams.initialize(32, 3, rng)
+        videos = [_video(1, frame_count=900, classes=[1],
+                         spans=[AnomalySpan(1, 100, 400)]),
+                  _video(2, frame_count=700, classes=[3],
+                         spans=[AnomalySpan(3, 50, 650)])]
+        serial = [score_video(v, params, (4, 4, 32), 7, 4).channel_scores
+                  for v in videos]
+        start = threading.Barrier(2)
+        got = [[], []]
+
+        def work(i):
+            start.wait()
+            for _ in range(4):
+                got[i].append(score_video(videos[i], params, (4, 4, 32), 7,
+                                          4).channel_scores)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        for want, runs in zip(serial, got):
+            assert len(runs) == 4
+            assert all(np.array_equal(run, want) for run in runs)
+
+    def test_no_module_level_generator(self):
+        for module in (backbone, training):
+            assert not [name for name, value in vars(module).items()
+                        if isinstance(value, (np.random.Generator,
+                                              np.random.BitGenerator))]
+
+
+# entropy values: small ones, zeros, and values of up to 3 uint32 words
+_ENTROPY = st.one_of(st.integers(0, 2 ** 32 - 1), st.just(0),
+                     st.integers(0, 2 ** 70))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_ENTROPY, min_size=1, max_size=12), max_size=6))
+def test_pcg64_keys_match_numpy(rows):
+    """Ragged batches: the rows' word counts differ."""
+    keys = _pcg64_keys(rows)
+    assert keys.shape == (len(rows), 4)
+    generator = np.random.Generator(np.random.PCG64())
+    for row, key in zip(rows, keys):
+        seq = np.random.SeedSequence(row)
+        assert np.array_equal(key, seq.generate_state(4, np.uint64))
+        _set_state(generator, key)
+        assert generator.bit_generator.state == np.random.PCG64(seq).state
+
+
+def test_pcg64_keys_reject_negative_entropy():
+    with pytest.raises(ValueError):
+        _pcg64_keys([(1, 2), (3, -1)])
 
 
 class TestDropout:
