@@ -8,17 +8,15 @@ class-specific channel block at a class-specific spatial cell receives a
 constant additive offset: anomalies are localized in space and channels,
 which is what the spatial reasoning stage has to exploit.
 
-Keying and drawing are two steps. :func:`feature_keys` runs the
-SeedSequence hash for many segments in one numpy pass over their entropy
+Each call keys all of its segments in one numpy pass over their entropy
 words (:func:`_pcg64_keys`), giving each segment the four words that a
-per-segment ``SeedSequence`` would have given PCG64, bit for bit.
-:func:`draw_features` then sets a generator of its own to each segment's
-PCG64 state in turn (:func:`_set_state`) and draws the segment's noise, so
-concurrent calls share no generator. A caller that scores many windows keys them all at once and
-draws them chunk by chunk; :func:`synthetic_backbone` does both for one
-block. A pass has a fixed cost of about a hundred numpy calls, so keying
-many segments at once is what makes it cheaper than one ``SeedSequence``
-per segment.
+per-segment ``SeedSequence`` would have given PCG64, bit for bit. It then
+sets a generator of its own to each segment's PCG64 state in turn
+(:func:`_set_state`) and draws the segment's noise, so concurrent calls share
+no generator. A pass has a fixed cost of about a hundred numpy calls, so a
+caller that needs many segments, such as one chunk of scoring windows, asks
+for them in one call; that is what makes it cheaper than one
+``SeedSequence`` per segment.
 """
 
 from __future__ import annotations
@@ -196,27 +194,23 @@ def signature_channels(cls: int, n_classes: int,
     return lo, lo + width
 
 
-def feature_keys(clip_starts: Sequence[Sequence[int]], video_id: int,
-                 seed: int) -> np.ndarray:
-    """The PCG64 key of each segment's noise, all keyed in one pass."""
-    return _pcg64_keys([(_FEATURE_TAG, seed, video_id, *starts)
-                        for starts in clip_starts])
+def synthetic_backbone(clip_starts: Sequence[Sequence[int]], video: VideoSpec,
+                       dims: tuple[int, int, int], seed: int) -> FeatureMaps:
+    """Feature block of extents (T, w, h, d) for the sampled clips.
 
-
-def draw_features(keys: np.ndarray,
-                  clip_starts: Sequence[Sequence[int]], video: VideoSpec,
-                  dims: tuple[int, int, int]) -> FeatureMaps:
-    """Feature block of extents (T, w, h, d) from the segments' keys.
-
-    ``keys`` holds :func:`feature_keys` of ``clip_starts``. Each class
-    active at a segment's clips adds :data:`SIGNATURE_OFFSET` to its
-    signature channels at its signature cells.
+    ``clip_starts`` holds one list of clip start frames per segment. All
+    segments are keyed in one :func:`_pcg64_keys` pass, and each segment's
+    noise is drawn from its own key. Each class active at a segment's clips
+    adds :data:`SIGNATURE_OFFSET` to its signature channels at its signature
+    cells.
     """
     rows, cols, channels = dims
     if min(rows, cols, channels) < 1:
         raise ConfigError("feature dims must be positive")
     if channels < video.labels.n_classes:
         raise ConfigError("need at least one channel per anomaly class")
+    keys = _pcg64_keys([(_FEATURE_TAG, seed, video.video_id, *starts)
+                        for starts in clip_starts])
     block = np.empty((len(clip_starts), rows, cols, channels))
     # a generator of this call's own, so concurrent calls share no state
     noise = np.random.Generator(np.random.PCG64())
@@ -241,14 +235,3 @@ def draw_features(keys: np.ndarray,
                 block[segments, r, c, lo:hi] += SIGNATURE_OFFSET
     # the block is fresh: check it and take it over without a copy
     return FeatureMaps(Tensor._wrap(ops.check_finite(block, "backbone")))
-
-
-def synthetic_backbone(clip_starts: Sequence[Sequence[int]], video: VideoSpec,
-                       dims: tuple[int, int, int], seed: int) -> FeatureMaps:
-    """Feature block of extents (T, w, h, d) for the sampled clips.
-
-    ``clip_starts`` holds one list of clip start frames per segment; the
-    segments are keyed in one pass and drawn by :func:`draw_features`.
-    """
-    return draw_features(feature_keys(clip_starts, video.video_id, seed),
-                         clip_starts, video, dims)

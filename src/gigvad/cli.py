@@ -134,21 +134,23 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_heads(args, cfg: Config):
+def _scoring_inputs(args, cfg: Config, role: str):
+    """The checkpoint's heads and metadata and the dataset to score, checked
+    to agree with the config on channels and with each other on classes."""
     params, meta = load_checkpoint(args.checkpoint)
     if meta["channels"] != cfg.channels:
         raise ConfigError(
             f"checkpoint has {meta['channels']} channels, config says "
             f"{cfg.channels}")
-    return params, meta
+    dataset = _dataset(args.data, cfg.test_data, role)
+    if dataset.n_classes != meta["n_classes"]:
+        raise ConfigError("checkpoint and dataset disagree on class count")
+    return params, meta, dataset
 
 
 def _cmd_eval(args) -> int:
     cfg = _resolve_config(args)
-    params, meta = _load_heads(args, cfg)
-    dataset = _dataset(args.data, cfg.test_data, "test")
-    if dataset.n_classes != meta["n_classes"]:
-        raise ConfigError("checkpoint and dataset disagree on class count")
+    params, meta, dataset = _scoring_inputs(args, cfg, "test")
     report = evaluate_dataset(dataset, params, cfg.dims, meta["top_k"],
                               cfg.window, cfg.stride, cfg.sigma, cfg.tau)
     out = Path(args.out) if args.out else Path(cfg.out_dir) / "metrics.txt"
@@ -161,17 +163,15 @@ def _cmd_eval(args) -> int:
 
 def _cmd_score(args) -> int:
     cfg = _resolve_config(args)
-    params, meta = _load_heads(args, cfg)
-    dataset = _dataset(args.data, cfg.test_data, "score")
+    params, meta, dataset = _scoring_inputs(args, cfg, "score")
     video = dataset.video_by_id(args.video)
     series = smooth_series(
         score_video(video, params, cfg.dims, dataset.seed, meta["top_k"],
                     cfg.window, cfg.stride), cfg.sigma)
-    overall = series.overall
-    lines = []
-    for f in range(series.frames):
-        channels = "\t".join(repr(v) for v in series.channel_scores[f])
-        lines.append(f"{f}\t{overall[f]!r}\t{channels}")
+    # plain floats: repr of a numpy scalar would read np.float64(...)
+    rows = zip(series.overall.tolist(), series.channel_scores.tolist())
+    lines = ["\t".join([str(f), repr(overall), *map(repr, channels)])
+             for f, (overall, channels) in enumerate(rows)]
     out = (Path(args.out) if args.out
            else Path(cfg.out_dir) / f"scores_{video.video_id}.tsv")
     atomic_write_text(out, "\n".join(lines) + "\n")

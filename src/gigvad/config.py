@@ -48,7 +48,7 @@ class Config:
     segments: int = 8            # T
     clips_per_segment: int = 6
     clip_interval: int = 5       # frames between consecutive clip starts
-    batch_size: int = 8
+    batch_size: int = 8          # validated; train() steps once per video
     learning_rate: float = 0.001
     epochs: int = 100
     dropout: float = 0.5

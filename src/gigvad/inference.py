@@ -2,13 +2,12 @@
 
 Inference slides a short window over the video, scores each window as a
 single segment through the detection head (no dropout, no randomness), and
-averages window scores into per-frame channel scores. The backbone keys a
-video's windows in one pass (at most :data:`KEY_WORDS` clip frames each), and
-the windows are then drawn and scored by :func:`~gigvad.model.head_forward` in
-chunks of at most :data:`CHUNK_BYTES` of features, so a chunk costs one
-kernel call and a long video never holds all of its windows at once. Channel
-series are then Gaussian-smoothed and the overall series is the per-frame max
-over anomaly channels.
+averages window scores into per-frame channel scores. The windows go in
+chunks of at most :data:`CHUNK_BYTES` of features: one backbone call keys and
+draws a chunk, and one :func:`~gigvad.model.head_forward` call scores it, so
+a long video never holds the features or the keys of all of its windows at
+once. Channel series are then Gaussian-smoothed and the overall series is
+the per-frame max over anomaly channels.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backbone import draw_features, feature_keys
+from .backbone import synthetic_backbone
 from .data import MAX_FRAMES, DatasetSpec, VideoSpec, frame_truth
 from .errors import ConfigError, DimensionError
 from .gig import HeadParams
@@ -33,15 +32,11 @@ DEFAULT_TAU = 0.5
 # MAX_FRAMES, so its length is bounded; the workloads use 2.0
 MAX_SIGMA = MAX_FRAMES / 4
 
-# feature bytes drawn and scored per head_forward call: enough windows to
-# amortise the per-call overhead, few enough that a long video's windows
-# never sit in memory at once
-CHUNK_BYTES = 256 * 1024
-
-# clip frames keyed per pass of the backbone's key function: all windows of
-# a video of up to about 30,000 frames (window 6, stride 3) take one pass,
-# and a longer video never holds the keys of all of its windows at once
-KEY_WORDS = 1 << 16
+# feature bytes per backbone and head_forward call: enough windows to
+# amortise the fixed cost of a key pass and of a kernel call (8 windows at
+# the 8x8x128 shape), few enough that a long video's windows never sit in
+# memory at once
+CHUNK_BYTES = 512 * 1024
 
 
 @dataclass
@@ -91,33 +86,27 @@ def score_video(video: VideoSpec, params: HeadParams,
                 stride: int = DEFAULT_STRIDE) -> FrameScoreSeries:
     """Raw per-frame channel scores for one video (pre-smoothing).
 
-    Each window is scored as one segment (T = 1, top-p 1). The noise
-    streams of all of the video's windows are keyed in one
-    :func:`~gigvad.backbone.feature_keys` pass (a video of more than
-    :data:`KEY_WORDS` clip frames takes one pass per that many); the
-    windows' feature blocks are then only drawn, in chunks of at most
-    :data:`CHUNK_BYTES` (at least one window each), and every chunk is
-    scored by one :func:`~gigvad.model.head_forward` call. A window's
-    features depend only on its frames, so the scores equal ``run_head`` on
-    each window alone. A frame covered by several windows gets the mean of
-    their channel scores, summed in window order.
+    Each window is scored as one segment (T = 1, top-p 1). The windows go
+    in chunks of at most :data:`CHUNK_BYTES` of features (at least one window
+    each); one :func:`~gigvad.backbone.synthetic_backbone` call keys and
+    draws a chunk's noise in one pass, and one
+    :func:`~gigvad.model.head_forward` call scores it. A window's features
+    depend only on its frames, so the scores equal ``run_head`` on each
+    window alone. A frame covered by several windows gets the mean of their
+    channel scores, summed in window order.
     """
     starts = window_starts(video.frame_count, window, stride)
     per_chunk = max(1, CHUNK_BYTES // (8 * int(np.prod(dims))))
-    per_pass = max(1, KEY_WORDS // window // per_chunk) * per_chunk
     last = video.frame_count - 1
     channel = np.empty((len(starts), 1 + params.n_classes))
-    for first in range(0, len(starts), per_pass):
+    for lo in range(0, len(starts), per_chunk):
         clips = [[min(s + i, last) for i in range(window)]
-                 for s in starts[first:first + per_pass]]
-        keys = feature_keys(clips, video.video_id, feature_seed)
-        for lo in range(0, len(clips), per_chunk):
-            hi = min(lo + per_chunk, len(clips))
-            block = draw_features(keys[lo:hi], clips[lo:hi], video,
-                                  dims).data.data
-            channel[first + lo:first + hi] = head_forward(
-                block.reshape(hi - lo, 1, -1, dims[2]),
-                params.segment_w.data, params.segment_b.data, top_k, 1)
+                 for s in starts[lo:lo + per_chunk]]
+        block = synthetic_backbone(clips, video, dims,
+                                   feature_seed).data.data
+        channel[lo:lo + len(clips)] = head_forward(
+            block.reshape(len(clips), 1, -1, dims[2]),
+            params.segment_w.data, params.segment_b.data, top_k, 1)
     sums = np.zeros((video.frame_count, channel.shape[1]))
     counts = np.zeros(video.frame_count)
     first = np.asarray(starts)

@@ -106,11 +106,6 @@ def adagrad_step(params: HeadParams, grads, lr: float) -> None:
         setattr(params, name, Tensor(new))
 
 
-def _chunks(seq: np.ndarray, size: int):
-    for i in range(0, len(seq), size):
-        yield seq[i:i + size]
-
-
 def train(dataset: DatasetSpec, cfg: Config) -> TrainResult:
     """Run the full epoch loop and return final heads plus per-epoch losses.
 
@@ -145,24 +140,20 @@ def train(dataset: DatasetSpec, cfg: Config) -> TrainResult:
         _set_state(rng, shuffle)
         order = rng.permutation(len(dataset.videos))
         term_sums = np.zeros(4)
-        for batch in _chunks(order, cfg.batch_size):
-            # batch items are independent given the shuffle; the optimizer
-            # step applies per video, serialized in batch index order
-            for pos in batch:
-                video = dataset.videos[int(pos)]
-                _set_state(rng, streams[int(pos)])
-                starts = sample_segments(video.frame_count, cfg.segments,
-                                         cfg.clips_per_segment,
-                                         cfg.clip_interval, rng)
-                feats = synthetic_backbone(starts, video, cfg.dims,
-                                           dataset.seed)
-                feats = hflip_augment(feats, cfg.flip_prob, rng)
-                bd, grads = head_step(
-                    feats.data.data, [t.data for t in params.tensors()],
-                    video.labels.extended(), k, p, weights, cfg.dropout, rng)
-                adagrad_step(params, grads, cfg.learning_rate)
-                term_sums += (bd.multiclass, bd.segment_overall,
-                              bd.video_overall, bd.sparsity)
+        for pos in order:
+            video = dataset.videos[int(pos)]
+            _set_state(rng, streams[int(pos)])
+            starts = sample_segments(video.frame_count, cfg.segments,
+                                     cfg.clips_per_segment,
+                                     cfg.clip_interval, rng)
+            feats = synthetic_backbone(starts, video, cfg.dims, dataset.seed)
+            feats = hflip_augment(feats, cfg.flip_prob, rng)
+            bd, grads = head_step(
+                feats.data.data, [t.data for t in params.tensors()],
+                video.labels.extended(), k, p, weights, cfg.dropout, rng)
+            adagrad_step(params, grads, cfg.learning_rate)
+            term_sums += (bd.multiclass, bd.segment_overall,
+                          bd.video_overall, bd.sparsity)
         history.append(_epoch_breakdown(term_sums / len(dataset.videos),
                                         weights))
     return TrainResult(params=params, history=history)

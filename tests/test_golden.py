@@ -2,9 +2,12 @@
 
 The run goes through ``cli.main`` at seed 7 and takes a few seconds. Its four
 artifacts must hash to the sha256 digests below, which were recorded before
-the unread fields and parameters of the head were deleted. They were
-recorded with numpy 2.4.6 built against scipy-openblas 0.3.31.188.0
-(OpenBLAS DYNAMIC_ARCH, x86_64) under CPython 3.11. A change that moves any
+the unread fields and parameters of the head were deleted. The score file's
+digest was recorded again when its values came to be written as plain float
+text (``0.49…`` where numpy 2 scalars printed ``np.float64(0.49…)``); every
+value it holds kept its bits, and the other three digests did not move. All
+four were recorded with numpy 2.4.6 built against scipy-openblas
+0.3.31.188.0 (OpenBLAS DYNAMIC_ARCH, x86_64) under CPython 3.11. A change that moves any
 output bit fails here; one that means to must re-record the digests and say
 so. On another numpy or BLAS build, or another CPU family, the float bits may
 differ with no change to the code.
@@ -22,7 +25,7 @@ GOLDEN = {
     "metrics.txt":
         "422ad74e5d0595ab93b3cae8a86477cd1a0d7b941e930ab1fde594049baed9cd",
     "scores_100.tsv":
-        "2f16a293496faae27b8487db172bf445991dec9486e3928b1f2fc5f45fea59d9",
+        "ce2c6bc00f794a1489a58a3f00f034abb578f507782c813b9fd248738222c96b",
 }
 
 

@@ -20,13 +20,13 @@ from gigvad.checkpoint import (checkpoint_bytes, expected_size, load_checkpoint,
 from gigvad.cli import main
 from gigvad.config import (_FIELD_PARSERS, MAX_CHANNELS, MAX_CLIPS,
                            MAX_FEATURE_ELEMENTS, MAX_GRID, MAX_SEGMENTS,
-                           Config, format_config, parse_config)
+                           Config, format_config, load_config, parse_config)
 from gigvad.data import (MAX_CLASSES, MAX_FRAMES, format_dataset,
                          generate_dataset, parse_dataset, read_dataset,
                          write_dataset)
 from gigvad.errors import CheckpointError, ConfigError, DatasetError
 from gigvad.gig import HeadParams
-from gigvad.inference import MAX_SIGMA
+from gigvad.inference import MAX_SIGMA, score_video, smooth_series
 from gigvad.tensor import Tensor
 
 # a header declaring one video, followed by two video lines and a stray line
@@ -403,11 +403,38 @@ class TestCli:
                    "--data", str(cli_env["test"]), "--video", "100",
                    "--out", str(score_file)])
         assert rc == 0
-        frame_count = read_dataset(cli_env["test"]).video_by_id(100).frame_count
+        dataset = read_dataset(cli_env["test"])
+        video = dataset.video_by_id(100)
+        params, meta = load_checkpoint(out / "checkpoint.bin")
+        cfg = load_config(cli_env["cfg"])
+        want = smooth_series(
+            score_video(video, params, cfg.dims, dataset.seed, meta["top_k"],
+                        cfg.window, cfg.stride), cfg.sigma)
         lines = score_file.read_text().splitlines()
-        assert len(lines) == frame_count
-        first = lines[0].split("\t")
-        assert first[0] == "0" and len(first) == 2 + 3  # frame, overall, 1+C
+        assert len(lines) == video.frame_count
+        for f, line in enumerate(lines):
+            fields = line.split("\t")
+            assert fields[0] == str(f) and len(fields) == 2 + 3  # overall, 1+C
+            # plain float text, equal to the series bit for bit
+            assert [float(v) for v in fields[1:]] == [
+                want.overall[f], *want.channel_scores[f]]
+
+    @pytest.mark.parametrize("verb", ["eval", "score"])
+    def test_class_count_mismatch_exits_one(self, cli_env, tmp_path, capsys,
+                                            verb):
+        params = HeadParams.initialize(16, 3, np.random.default_rng(0))
+        ckpt = tmp_path / "three.bin"  # 3 classes; the test data has 2
+        ckpt.write_bytes(checkpoint_bytes(params, 4, 2))
+        argv = [verb, "--config", str(cli_env["cfg"]), "--checkpoint",
+                str(ckpt), "--data", str(cli_env["test"]),
+                "--out-dir", str(tmp_path / "out")]
+        if verb == "score":
+            argv += ["--video", "100"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == ("configuration error: checkpoint and dataset disagree"
+                       " on class count\n")
+        assert not (tmp_path / "out").exists()
 
     def test_usage_errors_exit_one(self, cli_env, capsys):
         assert main(["no-such-verb"]) == 1

@@ -87,12 +87,21 @@ def test_head_forward_equals_run_head(shape):
                               want.consensus.channel_scores.data)
 
 
-@pytest.mark.parametrize("frames, window, stride", [
-    (2000, 6, 3), (1037, 10, 4), (50, 1, 1), (4, 6, 3)])
-def test_score_video_equals_window_oracle(rng, frames, window, stride):
-    """2,000 frames is 666 windows, so several chunks of the kernel."""
-    dims, k = (4, 4, 32), 4
-    params = HeadParams.initialize(32, 3, rng)
+@pytest.mark.parametrize("frames, window, stride, dims", [
+    pytest.param(2000, 6, 3, (4, 4, 32), id="2000-6-3"),
+    pytest.param(1037, 10, 4, (4, 4, 32), id="1037-10-4"),
+    pytest.param(50, 1, 1, (4, 4, 32), id="50-1-1"),
+    pytest.param(4, 6, 3, (4, 4, 32), id="4-6-3"),
+    pytest.param(27, 6, 3, (8, 8, 128), id="27-6-3-wide"),
+    pytest.param(60, 6, 3, (8, 8, 128), id="60-6-3-wide"),
+])
+def test_score_video_equals_window_oracle(rng, frames, window, stride, dims):
+    """A 512 KiB chunk holds 128 windows at 4x4x32 and 8 at 8x8x128. So
+    2,000 frames (666 windows) end in a partial sixth chunk, 27 frames at
+    the wide shape are one full chunk (8 windows), and 60 frames there are
+    two full chunks and a partial one (19 windows)."""
+    k = 4
+    params = HeadParams.initialize(dims[2], 3, rng)
     params.segment_w = Tensor(params.segment_w.data * 30)
     video = VideoSpec(9, frames, VideoLabels.from_classes([2], 3),
                       [AnomalySpan(2, frames // 3, frames // 2)])
