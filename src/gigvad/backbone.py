@@ -8,15 +8,16 @@ class-specific channel block at a class-specific spatial cell receives a
 constant additive offset: anomalies are localized in space and channels,
 which is what the spatial reasoning stage has to exploit.
 
-Each call keys all of its segments in one numpy pass over their entropy
-words (:func:`_pcg64_keys`), giving each segment the four words that a
-per-segment ``SeedSequence`` would have given PCG64, bit for bit. It then
-sets a generator of its own to each segment's PCG64 state in turn
-(:func:`_set_state`) and draws the segment's noise, so concurrent calls share
-no generator. A pass has a fixed cost of about a hundred numpy calls, so a
-caller that needs many segments, such as one chunk of scoring windows, asks
-for them in one call; that is what makes it cheaper than one
-``SeedSequence`` per segment.
+Every entropy value is one uint32 word (``data.MAX_ENTROPY`` caps seeds and
+ids) and a call's segments have equal clip counts, so a call's stream keys
+are one (T, 3 + C) word matrix. One numpy pass hashes it (:func:`_pcg64_keys`)
+into the four words a per-segment ``SeedSequence`` would give PCG64, bit for
+bit. The call then sets a generator of its own to each segment's state in
+turn (:func:`_set_state`) and draws the segment's noise, so concurrent calls
+share no generator. A pass costs about a hundred numpy calls, so a caller
+that needs many segments, such as one chunk of scoring windows, asks for
+them in one call; that is what makes it cheaper than one ``SeedSequence``
+per segment.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from . import ops
-from .data import VideoSpec
-from .errors import ConfigError
+from .data import MAX_ENTROPY, VideoSpec
+from .errors import ConfigError, DimensionError
 from .gig import FeatureMaps
 from .tensor import Tensor
 
@@ -45,7 +46,7 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
+_M128 = (1 << 128) - 1
 
 
 def _chain(init: int, mult: int, n: int) -> np.ndarray:
@@ -118,39 +119,21 @@ def _seed_state(words: np.ndarray) -> np.ndarray:
     return state.reshape(n, 2 * _POOL).view(np.uint64)
 
 
-def _words(row: Sequence[int]) -> list[int]:
-    """A row's entropy words as SeedSequence splits it: each value in
-    little-endian uint32 words, a 0 as one word."""
-    out = []
-    for value in map(int, row):
-        if value < 0:
-            raise ValueError("entropy values must be non-negative")
-        out.append(value & _M32)
-        while value > _M32:
-            value >>= 32
-            out.append(value & _M32)
-    return out
-
-
-def _pcg64_keys(rows: Sequence[Sequence[int]]) -> np.ndarray:
+def _pcg64_keys(
+        entropy: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
     """``SeedSequence(row).generate_state(4, np.uint64)`` per row, (n, 4).
 
-    These are the words ``PCG64(SeedSequence(row))`` seeds itself with;
-    :func:`_set_state` puts a generator there. Rows are tuples of
-    non-negative ints, and rows of the same word count are hashed in one
-    :func:`_seed_state` pass.
+    ``entropy`` is an (n, w) integer matrix, one entropy value per entry,
+    each in [0, 2**32): SeedSequence takes such a value as one uint32 word,
+    so all n rows are hashed in one :func:`_seed_state` pass. The keys are
+    the words ``PCG64(SeedSequence(row))`` seeds itself with;
+    :func:`_set_state` puts a generator there.
     """
-    flat = [value for row in rows for value in row]
-    if flat and not (0 <= min(flat) and max(flat) <= _M32):
-        rows = [_words(row) for row in rows]
-    by_count: dict[int, list[int]] = {}
-    for i, row in enumerate(rows):
-        by_count.setdefault(len(row), []).append(i)
-    keys = np.empty((len(rows), 4), dtype=np.uint64)
-    for count, index in by_count.items():
-        words = np.array([rows[i] for i in index], dtype=np.uint32)
-        keys[index] = _seed_state(words.reshape(len(index), count))
-    return keys
+    entropy = np.asarray(entropy)
+    if entropy.size and not (0 <= entropy.min()
+                             and entropy.max() <= MAX_ENTROPY):
+        raise ValueError("entropy values must lie in [0, 2**32)")
+    return _seed_state(entropy.astype(np.uint32))
 
 
 def _set_state(generator: np.random.Generator, key: np.ndarray) -> None:
@@ -194,44 +177,46 @@ def signature_channels(cls: int, n_classes: int,
     return lo, lo + width
 
 
-def synthetic_backbone(clip_starts: Sequence[Sequence[int]], video: VideoSpec,
-                       dims: tuple[int, int, int], seed: int) -> FeatureMaps:
+def synthetic_backbone(clip_starts: Sequence[Sequence[int]] | np.ndarray,
+                       video: VideoSpec, dims: tuple[int, int, int],
+                       seed: int) -> FeatureMaps:
     """Feature block of extents (T, w, h, d) for the sampled clips.
 
-    ``clip_starts`` holds one list of clip start frames per segment. All
-    segments are keyed in one :func:`_pcg64_keys` pass, and each segment's
-    noise is drawn from its own key. Each class active at a segment's clips
-    adds :data:`SIGNATURE_OFFSET` to its signature channels at its signature
-    cells.
+    ``clip_starts`` is a (T, C) matrix of clip start frames, one row of
+    equal length per segment, with T >= 1. The rows (tag, seed, video id,
+    *clip starts) are keyed in one :func:`_pcg64_keys` pass, and each
+    segment's noise is drawn from its own key. Each class active at a
+    segment's clips adds :data:`SIGNATURE_OFFSET` to its signature channels
+    at its signature cells.
     """
     rows, cols, channels = dims
     if min(rows, cols, channels) < 1:
         raise ConfigError("feature dims must be positive")
     if channels < video.labels.n_classes:
         raise ConfigError("need at least one channel per anomaly class")
-    keys = _pcg64_keys([(_FEATURE_TAG, seed, video.video_id, *starts)
-                        for starts in clip_starts])
-    block = np.empty((len(clip_starts), rows, cols, channels))
+    try:
+        clips = np.asarray(clip_starts, dtype=np.int64)
+    except ValueError as exc:
+        raise DimensionError("clip lists must all have one length") from exc
+    if clips.ndim != 2 or not len(clips):
+        raise DimensionError("clip starts must be a (T, C) matrix, T >= 1")
+    entropy = np.empty((len(clips), 3 + clips.shape[1]), dtype=np.int64)
+    entropy[:, :3] = _FEATURE_TAG, seed, video.video_id
+    entropy[:, 3:] = clips
+    block = np.empty((len(clips), rows, cols, channels))
     # a generator of this call's own, so concurrent calls share no state
     noise = np.random.Generator(np.random.PCG64())
-    for t, key in enumerate(keys):
+    for t, key in enumerate(_pcg64_keys(entropy)):
         _set_state(noise, key)
         noise.standard_normal(out=block[t])
-    if video.spans:
-        frames = np.array([f for starts in clip_starts for f in starts],
-                          dtype=np.int64)
-        owner = np.repeat(np.arange(len(clip_starts)),
-                          [len(starts) for starts in clip_starts])
-        active: dict[int, np.ndarray] = {}
-        for span in video.spans:
-            hit = (span.start <= frames) & (frames <= span.end)
-            segments = active.setdefault(
-                span.cls, np.zeros(len(clip_starts), dtype=bool))
-            segments[owner[hit]] = True
-        # every offset is the same constant: the classes' order moves no bit
-        for cls, segments in active.items():
-            lo, hi = signature_channels(cls, video.labels.n_classes, channels)
-            for r, c in signature_cells(cls, rows, cols):
-                block[segments, r, c, lo:hi] += SIGNATURE_OFFSET
+    active: dict[int, np.ndarray] = {}
+    for span in video.spans:
+        hit = ((span.start <= clips) & (clips <= span.end)).any(axis=1)
+        active[span.cls] = active.get(span.cls, False) | hit
+    # every offset is the same constant: the classes' order moves no bit
+    for cls, segments in active.items():
+        lo, hi = signature_channels(cls, video.labels.n_classes, channels)
+        for r, c in signature_cells(cls, rows, cols):
+            block[segments, r, c, lo:hi] += SIGNATURE_OFFSET
     # the block is fresh: check it and take it over without a copy
     return FeatureMaps(Tensor._wrap(ops.check_finite(block, "backbone")))

@@ -5,8 +5,9 @@ valid, whether it was parsed, built in code, or derived with
 ``dataclasses.replace``. Every count has a cap far above every workload:
 ``segments`` <= MAX_SEGMENTS, ``clips_per_segment`` <= MAX_CLIPS, ``rows``
 and ``cols`` <= MAX_GRID, ``channels`` <= MAX_CHANNELS, a feature block
-(``segments*rows*cols*channels`` values) <= MAX_FEATURE_ELEMENTS, and
-``stride`` <= ``window`` <= ``data.MAX_FRAMES``; ``sigma`` <=
+(``segments*rows*cols*channels`` values) <= MAX_FEATURE_ELEMENTS,
+``stride`` <= ``window`` <= ``data.MAX_FRAMES``, and ``seed`` and ``epochs``
+<= ``data.MAX_ENTROPY`` (one stream-key word each); ``sigma`` <=
 ``inference.MAX_SIGMA`` bounds the smoothing kernel.
 
 Format: UTF-8 lines of ``key = value``; ``#`` starts a comment; blank lines
@@ -20,8 +21,9 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .data import MAX_FRAMES
+from .data import MAX_ENTROPY, MAX_FRAMES
 from .errors import ConfigError
+from .fileio import read_text
 from .inference import (DEFAULT_SIGMA, DEFAULT_STRIDE, DEFAULT_TAU,
                         DEFAULT_WINDOW, MAX_SIGMA)
 from .spatial import default_top_k, default_top_p
@@ -39,10 +41,10 @@ MAX_FEATURE_ELEMENTS = 2 ** 24  # 128 MiB of float64 per feature block
 class Config:
     """Every tunable of the pipeline plus dataset paths and output directory.
 
-    Built only valid: floats finite, seed >= 0, each count in [1, its cap]
-    (see the module docstring), ``top_k`` in [1, rows*cols], ``top_p`` in
-    [1, segments]; either may be ``auto`` (None), a quarter of the cells /
-    segments.
+    Built only valid: floats finite, seed and epochs in [0, MAX_ENTROPY],
+    each count in [1, its cap] (see the module docstring), ``top_k`` in
+    [1, rows*cols], ``top_p`` in [1, segments]; either may be ``auto``
+    (None), a quarter of the cells / segments.
     """
 
     segments: int = 8            # T
@@ -86,10 +88,9 @@ class Config:
             raise ConfigError("a feature block (segments*rows*cols*channels)"
                               f" must hold at most {MAX_FEATURE_ELEMENTS}"
                               " values")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be non-negative")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
+        for name in ("epochs", "seed"):
+            if not (0 <= getattr(self, name) <= MAX_ENTROPY):
+                raise ConfigError(f"{name} must lie in [0, {MAX_ENTROPY}]")
         if not (0.0 <= self.dropout < 1.0):
             raise ConfigError("dropout must lie in [0, 1)")
         if not (0.0 <= self.flip_prob <= 1.0):
@@ -185,12 +186,7 @@ def parse_config(text: str) -> Config:
 
 
 def load_config(path: str | Path) -> Config:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason} at byte"
-                          f" {exc.start}") from exc
-    return parse_config(text)
+    return parse_config(read_text(path, ConfigError))
 
 
 def format_config(cfg: Config) -> str:

@@ -15,7 +15,8 @@ File format (UTF-8 text)::
     <id> <frame_count> <label bits> <spans>
 
 Exactly N video lines follow the header; blank lines may trail them, nothing
-else may. C is at most MAX_CLASSES and frame counts lie in [1, MAX_FRAMES].
+else may. C is at most MAX_CLASSES, frame counts lie in [1, MAX_FRAMES], and
+the seed and video ids lie in [0, MAX_ENTROPY] (2**32 - 1).
 Label bits are C characters of 0/1 (class 1 first). Spans are ``-`` for
 none, else comma-separated ``class:start-end`` with inclusive end frames.
 """
@@ -28,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DatasetError
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, read_text
 from .gig import VideoLabels
 
 MAGIC_LINE = "gigvad-dataset v1"
@@ -43,6 +44,11 @@ MAX_FRAMES = 10 ** 6
 # videos; the workloads use 3 classes and at most 200 videos
 MAX_CLASSES = 64
 MAX_VIDEOS = 10 ** 5
+
+# largest seed, video id, or other value in a stream's entropy: one uint32
+# word, so every stream key is one word per value; the workloads use seeds
+# below 30 and ids below 300
+MAX_ENTROPY = 2 ** 32 - 1
 
 # entropy tag separating dataset generation from other seeded streams
 _GEN_TAG = 101
@@ -65,8 +71,9 @@ class VideoSpec:
     spans: list[AnomalySpan] = field(default_factory=list)
 
     def validate(self, n_classes: int) -> None:
-        if self.video_id < 0:
-            raise DatasetError(f"video {self.video_id}: negative id")
+        if not (0 <= self.video_id <= MAX_ENTROPY):
+            raise DatasetError(f"video {self.video_id}: id outside"
+                               f" [0, {MAX_ENTROPY}]")
         if self.frame_count < 1:
             raise DatasetError(f"video {self.video_id}: empty video")
         if self.frame_count > MAX_FRAMES:
@@ -97,8 +104,8 @@ class DatasetSpec:
     seed: int
 
     def validate(self) -> None:
-        if self.seed < 0:
-            raise DatasetError("dataset seed must be non-negative")
+        if not (0 <= self.seed <= MAX_ENTROPY):
+            raise DatasetError(f"dataset seed must lie in [0, {MAX_ENTROPY}]")
         if not self.videos:
             raise DatasetError("dataset has no videos")
         ids = [v.video_id for v in self.videos]
@@ -145,8 +152,9 @@ def generate_dataset(n_videos: int, n_anomalous: int, n_classes: int,
     if n_classes > MAX_CLASSES:
         raise DatasetError(
             f"{n_classes} classes, above the cap of {MAX_CLASSES}")
-    if seed < 0 or start_id < 0:
-        raise DatasetError("seed and start id must be non-negative")
+    if not (0 <= seed <= MAX_ENTROPY
+            and 0 <= start_id <= MAX_ENTROPY - n_videos + 1):
+        raise DatasetError(f"seed and ids must lie in [0, {MAX_ENTROPY}]")
     if not (1 <= frames[0] <= frames[1] <= MAX_FRAMES) \
             or not (0 < cover[0] <= cover[1] <= 1):
         raise DatasetError("bad frame range or cover range")
@@ -292,9 +300,4 @@ def _parse_video(line: str, lineno: int, n_classes: int) -> VideoSpec:
 
 
 def read_dataset(path: str | Path) -> DatasetSpec:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise DatasetError(f"{path}: not UTF-8 text: {exc.reason} at byte"
-                           f" {exc.start}") from exc
-    return parse_dataset(text)
+    return parse_dataset(read_text(path, DatasetError))

@@ -1,4 +1,4 @@
-"""Atomic file writes shared by every on-disk format."""
+"""UTF-8 reads and atomic writes shared by every on-disk format."""
 
 from __future__ import annotations
 
@@ -26,3 +26,12 @@ def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
 
 def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def read_text(path: str | Path, error: type[Exception]) -> str:
+    """A file's UTF-8 text; bytes that are not UTF-8 raise ``error``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc.reason} at byte"
+                    f" {exc.start}") from exc

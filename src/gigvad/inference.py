@@ -98,10 +98,11 @@ def score_video(video: VideoSpec, params: HeadParams,
     starts = window_starts(video.frame_count, window, stride)
     per_chunk = max(1, CHUNK_BYTES // (8 * int(np.prod(dims))))
     last = video.frame_count - 1
+    first = np.asarray(starts)
     channel = np.empty((len(starts), 1 + params.n_classes))
     for lo in range(0, len(starts), per_chunk):
-        clips = [[min(s + i, last) for i in range(window)]
-                 for s in starts[lo:lo + per_chunk]]
+        clips = np.minimum(first[lo:lo + per_chunk, None] + np.arange(window),
+                           last)
         block = synthetic_backbone(clips, video, dims,
                                    feature_seed).data.data
         channel[lo:lo + len(clips)] = head_forward(
@@ -109,7 +110,6 @@ def score_video(video: VideoSpec, params: HeadParams,
             params.segment_w.data, params.segment_b.data, top_k, 1)
     sums = np.zeros((video.frame_count, channel.shape[1]))
     counts = np.zeros(video.frame_count)
-    first = np.asarray(starts)
     # offset i of every window at once; going from the last offset to the
     # first, each frame adds its windows' scores in window order
     for i in reversed(range(window)):

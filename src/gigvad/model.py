@@ -104,8 +104,10 @@ def _segment_probs(patterns: np.ndarray, segment_w: np.ndarray,
                    segment_b: np.ndarray) -> np.ndarray:
     """Segment head on (..., T, d) pattern rows: (..., T, 1+C)
     probabilities."""
-    logits = ops.check_finite(patterns @ segment_w.T + segment_b, "affine")
-    return ops.sigmoid_values(logits)
+    # an overflow is caught by check_finite, so numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = patterns @ segment_w.T + segment_b
+    return ops.sigmoid_values(ops.check_finite(logits, "affine"))
 
 
 def _top_p(scores: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -155,8 +157,9 @@ def head_step(x: np.ndarray, heads, target: np.ndarray, k: int, p: int,
         pattern_in = pattern_in * ops.dropout_mask((d,), rate, rng)
         patterns_in = patterns_in * ops.dropout_mask((t, d), rate, rng)
 
-    vprobs = ops.sigmoid_values(
-        ops.check_finite(video_w @ pattern_in + video_b, "affine"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        vlogits = video_w @ pattern_in + video_b
+    vprobs = ops.sigmoid_values(ops.check_finite(vlogits, "affine"))
     vwin = 1 + vprobs[1:].argmax()
     scores = _segment_probs(patterns_in, segment_w, segment_b)
     channel, sel = _top_p(scores, p)

@@ -8,9 +8,9 @@ Determinism contract: everything random is drawn from the PCG64 streams
 that ``SeedSequence`` gives tuples of (config seed, purpose tag, epoch, video
 id), so a fixed seed reproduces sampling, masks, initialization, and final
 weights bit-for-bit, and per-video streams are independent of batch
-composition. Each epoch keys its shuffle and all of its video streams in one
-pass (:func:`~gigvad.backbone._pcg64_keys`), and the run's one generator
-is set to each stream's state before it draws from it.
+composition. Each epoch keys its shuffle stream, then all of its video
+streams at once (:func:`~gigvad.backbone._pcg64_keys`), and the run's one
+generator is set to each stream's state before it draws from it.
 """
 
 from __future__ import annotations
@@ -130,14 +130,14 @@ def train(dataset: DatasetSpec, cfg: Config) -> TrainResult:
     params = HeadParams.initialize(cfg.channels, dataset.n_classes, rng)
     k, p, weights = cfg.resolved_k, cfg.resolved_p, cfg.weights
     history: list[LossBreakdown] = []
+    # one (seed, tag, epoch, video id) row per video; column 2 is the epoch
+    video_rows = np.array([(cfg.seed, _VIDEO_TAG, 0, video.video_id)
+                           for video in dataset.videos], dtype=np.int64)
 
     for epoch in range(1, cfg.epochs + 1):
-        # the epoch's shuffle and per-video streams, keyed in one pass
-        shuffle, *streams = _pcg64_keys(
-            [(cfg.seed, _SHUFFLE_TAG, epoch)]
-            + [(cfg.seed, _VIDEO_TAG, epoch, video.video_id)
-               for video in dataset.videos])
-        _set_state(rng, shuffle)
+        _set_state(rng, _pcg64_keys([(cfg.seed, _SHUFFLE_TAG, epoch)])[0])
+        video_rows[:, 2] = epoch
+        streams = _pcg64_keys(video_rows)
         order = rng.permutation(len(dataset.videos))
         term_sums = np.zeros(4)
         for pos in order:

@@ -5,6 +5,7 @@ import io
 import re
 import struct
 import tempfile
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from gigvad.cli import main
 from gigvad.config import (_FIELD_PARSERS, MAX_CHANNELS, MAX_CLIPS,
                            MAX_FEATURE_ELEMENTS, MAX_GRID, MAX_SEGMENTS,
                            Config, format_config, load_config, parse_config)
-from gigvad.data import (MAX_CLASSES, MAX_FRAMES, format_dataset,
+from gigvad.data import (MAX_CLASSES, MAX_ENTROPY, MAX_FRAMES, format_dataset,
                          generate_dataset, parse_dataset, read_dataset,
                          write_dataset)
 from gigvad.errors import CheckpointError, ConfigError, DatasetError
@@ -93,9 +94,13 @@ seed = 9
     def test_range_validation(self):
         for text in ("dropout = 1.5", "sigma = 0", "seed = -1",
                      "learning_rate = nan", "lambda1 = nan", "sigma = inf",
-                     "tau = nan", "top_k = 99", "top_p = 9", "window = 0"):
+                     "tau = nan", "top_k = 99", "top_p = 9", "window = 0",
+                     "seed = 4294967296", "epochs = 4294967296"):
             with pytest.raises(ConfigError, match="invalid configuration"):
                 parse_config(text + "\n")
+        at_cap = parse_config(
+            f"seed = {MAX_ENTROPY}\nepochs = {MAX_ENTROPY}\n")
+        assert at_cap.seed == at_cap.epochs == MAX_ENTROPY
 
     def test_one_config_class(self):
         assert gigvad.TrainConfig is Config
@@ -258,6 +263,14 @@ class TestDatasetFile:
             == MAX_FRAMES
         with pytest.raises(DatasetError, match="cap"):
             parse_dataset(line.format(MAX_FRAMES + 1))
+
+    def test_seed_and_id_cap(self):
+        text = "gigvad-dataset v1\nN = 1\nC = 1\nseed = {}\n{} 10 0 -\n"
+        spec = parse_dataset(text.format(MAX_ENTROPY, MAX_ENTROPY))
+        assert spec.seed == spec.videos[0].video_id == MAX_ENTROPY
+        for seed, video_id in ((4294967296, 0), (0, 4294967296)):
+            with pytest.raises(DatasetError, match="4294967295"):
+                parse_dataset(text.format(seed, video_id))
 
     def test_class_cap(self):
         text = "gigvad-dataset v1\nN = 1\nC = {}\nseed = 0\n0 10 {} -\n"
@@ -468,6 +481,15 @@ class TestCli:
         ("generate", "--seed -3", 2),
         ("data", ("seed = 5\n", "seed = -5\n"), 2),
         ("data", ("\n0 ", "\n-1 "), 2),  # first video's id
+        ("config", "seed = 4294967296", 1),  # one uint32 word at most
+        ("config", "epochs = 4294967296", 1),
+        ("flag", "--seed 4294967296", 1),
+        ("generate", "--seed 4294967296", 2),
+        ("generate", "--videos 2 --start-id 4294967295", 2),
+        pytest.param("data", ("seed = 5\n", "seed = 4294967296\n"), 2,
+                     id="data-seed-2to32-2"),
+        pytest.param("data", ("\n0 ", "\n4294967296 "), 2,
+                     id="data-id-2to32-2"),  # first video's id
         pytest.param("dataset", SURPLUS_LINES, 2, id="dataset-surplus-2"),
         pytest.param("data", ("N = 14\n", "N = 13\n"), 2,
                      id="data-surplus-2"),  # trains on 13 if lines are dropped
@@ -538,9 +560,13 @@ class TestCli:
         params.segment_w = Tensor(np.full(params.segment_w.shape, 1e308))
         ckpt = tmp_path / "big.bin"
         ckpt.write_bytes(checkpoint_bytes(params, 4, 2))
-        assert main(["eval", "--config", str(cli_env["cfg"]),
-                     "--checkpoint", str(ckpt), "--data", str(cli_env["test"]),
-                     "--out-dir", str(tmp_path / "out")]) == 3
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["eval", "--config", str(cli_env["cfg"]),
+                         "--checkpoint", str(ckpt),
+                         "--data", str(cli_env["test"]),
+                         "--out-dir", str(tmp_path / "out")]) == 3
+        assert [str(w.message) for w in caught] == []
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: affine")
         assert "Traceback" not in err

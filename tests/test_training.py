@@ -11,8 +11,10 @@ from gigvad import backbone, training
 from gigvad.backbone import (_FEATURE_TAG, SIGNATURE_OFFSET, _pcg64_keys,
                              _set_state, signature_cells, signature_channels,
                              synthetic_backbone)
-from gigvad.data import AnomalySpan, DatasetSpec, VideoSpec, generate_dataset
-from gigvad.errors import ConfigError, DatasetError, NumericError
+from gigvad.data import (MAX_ENTROPY, AnomalySpan, DatasetSpec, VideoSpec,
+                         generate_dataset)
+from gigvad.errors import (ConfigError, DatasetError, DimensionError,
+                           NumericError)
 from gigvad.gig import FeatureMaps, HeadParams, VideoLabels
 from gigvad.inference import score_video
 from gigvad.ops import dropout
@@ -160,11 +162,10 @@ class TestBackboneOracle:
                                                     seed))
         return got
 
-    @pytest.mark.parametrize("segments", [0, 1, 8, 16])
+    @pytest.mark.parametrize("segments", [1, 8, 16])
     def test_segment_counts(self, segments):
         starts = sample_segments(120, segments, 6, 5,
-                                 np.random.default_rng(segments)) \
-            if segments else []
+                                 np.random.default_rng(segments))
         got = self._check(starts, (4, 4, 32))
         assert got.shape == (segments, 4, 4, 32)
 
@@ -181,13 +182,24 @@ class TestBackboneOracle:
             r, c = signature_cells(cls, 4, 4)[0]
             assert got[0, r, c, lo:hi].mean() > SIGNATURE_OFFSET - 1.5
 
-    def test_ragged_and_multiword_entropy(self):
-        # rows of 3 to 9 entropy words, and values of 2 and 3 words
-        starts = [[], [5], [0, 0, 0], [2 ** 33, 36], [1, 2, 3, 4, 5, 6],
-                  [2 ** 62]]
-        self._check(starts, (2, 3, 5))
-        self._check(starts, (2, 3, 5), seed=2 ** 70,
-                    video=_video(2 ** 35 + 1, spans=[AnomalySpan(1, 0, 9)]))
+    def test_largest_entropy_values(self):
+        # seed, video id and a clip start at MAX_ENTROPY, and zeros
+        starts = [[0, 0, 0], [MAX_ENTROPY, 36, 0], [5, 9, 40]]
+        self._check(starts, (2, 3, 5), seed=MAX_ENTROPY,
+                    video=_video(MAX_ENTROPY, spans=[AnomalySpan(1, 0, 9)]))
+        self._check(starts, (4, 4, 32), seed=0, video=_video(0))
+
+    def test_rejects_ragged_empty_and_wide_entropy(self):
+        video, wide = _video(1), MAX_ENTROPY + 1
+        for starts in ([[1, 2], [3]], [[1], []], []):
+            with pytest.raises(DimensionError):
+                synthetic_backbone(starts, video, (2, 3, 5), 7)
+        for starts, seed, vid in (([[wide]], 7, 1), ([[0]], wide, 1),
+                                  ([[0]], 7, wide)):
+            with pytest.raises(ValueError, match="2\\*\\*32"):
+                synthetic_backbone(starts, _video(vid), (2, 3, 5), seed)
+        with pytest.raises(ValueError):
+            _pcg64_keys([[0, wide]])
 
     def test_threads_scoring_two_videos_get_serial_bits(self):
         rng = np.random.default_rng(3)
@@ -223,20 +235,29 @@ class TestBackboneOracle:
                                               np.random.BitGenerator))]
 
 
-# entropy values: small ones, zeros, and values of up to 3 uint32 words
-_ENTROPY = st.one_of(st.integers(0, 2 ** 32 - 1), st.just(0),
-                     st.integers(0, 2 ** 70))
+# entropy values: any uint32 word, and the two ends of the range
+_ENTROPY = st.one_of(st.integers(0, MAX_ENTROPY),
+                     st.sampled_from([0, MAX_ENTROPY]))
+
+
+@st.composite
+def _entropy_matrices(draw):
+    """An (n, w) matrix of entropy words, n in [0, 6] and w in [1, 12]."""
+    n, w = draw(st.integers(0, 6)), draw(st.integers(1, 12))
+    row = st.lists(_ENTROPY, min_size=w, max_size=w)
+    return np.array(draw(st.lists(row, min_size=n, max_size=n)),
+                    dtype=np.int64).reshape(n, w)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.lists(_ENTROPY, min_size=1, max_size=12), max_size=6))
+@given(_entropy_matrices())
 def test_pcg64_keys_match_numpy(rows):
-    """Ragged batches: the rows' word counts differ."""
+    """Rows of up to 12 words: within the pool, and past it."""
     keys = _pcg64_keys(rows)
     assert keys.shape == (len(rows), 4)
     generator = np.random.Generator(np.random.PCG64())
     for row, key in zip(rows, keys):
-        seq = np.random.SeedSequence(row)
+        seq = np.random.SeedSequence(row.tolist())
         assert np.array_equal(key, seq.generate_state(4, np.uint64))
         _set_state(generator, key)
         assert generator.bit_generator.state == np.random.PCG64(seq).state
