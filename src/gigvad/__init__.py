@@ -28,7 +28,7 @@ from .ops import GradCheckReport, dropout, grad_check
 from .spatial import (ConsensusScore, consensus, relation_scores, select_topk,
                       segment_patterns, segment_scores)
 from .tensor import GradTape, Tensor
-from .training import (TrainConfig, TrainResult, adagrad_step, hflip_augment,
+from .training import (TrainResult, adagrad_step, hflip_augment,
                        sample_segments, train)
 
 __version__ = "0.1.0"
@@ -38,7 +38,7 @@ __all__ = [
     "DatasetError", "DatasetSpec", "DimensionError", "EvalReport",
     "FeatureMaps", "FrameScoreSeries", "GigVadError", "GradCheckReport",
     "GradTape", "HeadOutputs", "HeadParams", "LossBreakdown", "MetricError",
-    "NumericError", "SIGNATURE_OFFSET", "Tensor", "TrainConfig", "TrainResult",
+    "NumericError", "SIGNATURE_OFFSET", "Tensor", "TrainResult",
     "VideoLabels", "VideoSpec", "adagrad_step", "classify_frames", "consensus",
     "default_test_spec", "default_train_spec", "dropout", "enhance",
     "evaluate_dataset", "f1_metrics", "format_config", "frame_truth",

@@ -60,6 +60,7 @@ def _build_parser() -> _Parser:
 
     tr = sub.add_parser("train", help="train the heads on a dataset file")
     _common_flags(tr)
+    tr.add_argument("--seed", type=int, help="override the config seed")
     tr.add_argument("--data", help="training dataset (overrides train_data)")
 
     ev = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
@@ -79,14 +80,13 @@ def _build_parser() -> _Parser:
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key = value configuration file")
-    p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--out-dir", help="override the output directory")
 
 
 def _resolve_config(args) -> Config:
     cfg = load_config(args.config) if args.config else Config()
     overrides = {key: getattr(args, key) for key in ("seed", "out_dir")
-                 if getattr(args, key) is not None}
+                 if getattr(args, key, None) is not None}
     cfg = dataclasses.replace(cfg, **overrides)  # re-runs the checks
     print(format_config(cfg), end="")
     return cfg
@@ -135,23 +135,23 @@ def _cmd_train(args) -> int:
 
 
 def _scoring_inputs(args, cfg: Config, role: str):
-    """The checkpoint's heads and metadata and the dataset to score, checked
-    to agree with the config on channels and with each other on classes."""
+    """The checkpoint's heads and the dataset to score, checked to agree
+    with the config on channels and top_k and with each other on classes."""
     params, meta = load_checkpoint(args.checkpoint)
-    if meta["channels"] != cfg.channels:
-        raise ConfigError(
-            f"checkpoint has {meta['channels']} channels, config says "
-            f"{cfg.channels}")
+    for name, ours in (("channels", cfg.channels), ("top_k", cfg.resolved_k)):
+        if meta[name] != ours:
+            raise ConfigError(
+                f"checkpoint has {name} = {meta[name]}, config says {ours}")
     dataset = _dataset(args.data, cfg.test_data, role)
     if dataset.n_classes != meta["n_classes"]:
         raise ConfigError("checkpoint and dataset disagree on class count")
-    return params, meta, dataset
+    return params, dataset
 
 
 def _cmd_eval(args) -> int:
     cfg = _resolve_config(args)
-    params, meta, dataset = _scoring_inputs(args, cfg, "test")
-    report = evaluate_dataset(dataset, params, cfg.dims, meta["top_k"],
+    params, dataset = _scoring_inputs(args, cfg, "test")
+    report = evaluate_dataset(dataset, params, cfg.dims, cfg.resolved_k,
                               cfg.window, cfg.stride, cfg.sigma, cfg.tau)
     out = Path(args.out) if args.out else Path(cfg.out_dir) / "metrics.txt"
     text = report_text(report)
@@ -163,10 +163,10 @@ def _cmd_eval(args) -> int:
 
 def _cmd_score(args) -> int:
     cfg = _resolve_config(args)
-    params, meta, dataset = _scoring_inputs(args, cfg, "score")
+    params, dataset = _scoring_inputs(args, cfg, "score")
     video = dataset.video_by_id(args.video)
     series = smooth_series(
-        score_video(video, params, cfg.dims, dataset.seed, meta["top_k"],
+        score_video(video, params, cfg.dims, dataset.seed, cfg.resolved_k,
                     cfg.window, cfg.stride), cfg.sigma)
     # plain floats: repr of a numpy scalar would read np.float64(...)
     rows = zip(series.overall.tolist(), series.channel_scores.tolist())

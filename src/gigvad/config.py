@@ -6,9 +6,12 @@ valid, whether it was parsed, built in code, or derived with
 ``segments`` <= MAX_SEGMENTS, ``clips_per_segment`` <= MAX_CLIPS, ``rows``
 and ``cols`` <= MAX_GRID, ``channels`` <= MAX_CHANNELS, a feature block
 (``segments*rows*cols*channels`` values) <= MAX_FEATURE_ELEMENTS,
-``stride`` <= ``window`` <= ``data.MAX_FRAMES``, and ``seed`` and ``epochs``
-<= ``data.MAX_ENTROPY`` (one stream-key word each); ``sigma`` <=
-``inference.MAX_SIGMA`` bounds the smoothing kernel.
+``stride`` <= ``window`` <= MAX_CLIPS (a scoring window is keyed like one
+segment of ``window`` clips), and ``seed`` and ``epochs`` <=
+``data.MAX_ENTROPY`` (one stream-key word each); ``sigma`` <=
+``inference.MAX_SIGMA`` bounds the smoothing kernel. Every key changes some
+output byte except the three paths and ``flip_prob`` (see
+:func:`~gigvad.training.hflip_augment`).
 
 Format: UTF-8 lines of ``key = value``; ``#`` starts a comment; blank lines
 ignored. Unknown keys are rejected, missing keys fall back to the documented
@@ -21,7 +24,7 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .data import MAX_ENTROPY, MAX_FRAMES
+from .data import MAX_ENTROPY
 from .errors import ConfigError
 from .fileio import read_text
 from .inference import (DEFAULT_SIGMA, DEFAULT_STRIDE, DEFAULT_TAU,
@@ -50,7 +53,6 @@ class Config:
     segments: int = 8            # T
     clips_per_segment: int = 6
     clip_interval: int = 5       # frames between consecutive clip starts
-    batch_size: int = 8          # validated; train() steps once per video
     learning_rate: float = 0.001
     epochs: int = 100
     dropout: float = 0.5
@@ -74,13 +76,13 @@ class Config:
 
     def __post_init__(self) -> None:
         counts = (self.segments, self.clips_per_segment, self.clip_interval,
-                  self.batch_size, self.rows, self.cols, self.channels)
+                  self.rows, self.cols, self.channels)
         if any(c < 1 for c in counts):
             raise ConfigError("all counts must be positive")
         for name, cap in (("segments", MAX_SEGMENTS),
                           ("clips_per_segment", MAX_CLIPS),
                           ("rows", MAX_GRID), ("cols", MAX_GRID),
-                          ("channels", MAX_CHANNELS), ("window", MAX_FRAMES)):
+                          ("channels", MAX_CHANNELS), ("window", MAX_CLIPS)):
             if getattr(self, name) > cap:
                 raise ConfigError(f"{name} must be at most {cap}")
         if self.segments * self.rows * self.cols * self.channels \

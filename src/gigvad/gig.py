@@ -21,13 +21,12 @@ from .tensor import Tensor
 
 @dataclass
 class FeatureMaps:
-    """A (T, w, h, d) feature block; ``enhanced`` marks gated blocks.
+    """A (T, w, h, d) feature block, raw or gated.
 
     ``channels`` is d; T, w and h are read from ``data.shape``.
     """
 
     data: Tensor
-    enhanced: bool = False
 
     def __post_init__(self) -> None:
         if len(self.data.shape) != 4:
@@ -142,7 +141,7 @@ def enhance(feats: FeatureMaps, pattern: Tensor) -> FeatureMaps:
         raise DimensionError("pattern extent must equal the channel extent")
     gate = ops.sigmoid(pattern)
     gated = ops.scale_channels(feats.data, gate)
-    return FeatureMaps(ops.add(gated, feats.data), enhanced=True)
+    return FeatureMaps(ops.add(gated, feats.data))
 
 
 def video_overall_score(pattern: Tensor, params: HeadParams) -> Tensor:

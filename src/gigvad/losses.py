@@ -40,7 +40,6 @@ class LossBreakdown:
     sparsity: float
     video_segment: float
     total: float
-    weights: tuple[float, float, float]
 
 
 def segment_overall_loss(cs: ConsensusScore, any_anomaly: int) -> Tensor:
@@ -85,6 +84,5 @@ def total_loss(multiclass: Tensor, segment_overall: Tensor,
         sparsity=sparsity.item(),
         video_segment=video_segment.item(),
         total=total.item(),
-        weights=(w1, w2, w3),
     )
     return total, breakdown

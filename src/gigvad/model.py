@@ -182,8 +182,7 @@ def head_step(x: np.ndarray, heads, target: np.ndarray, k: int, p: int,
     breakdown = LossBreakdown(multiclass=multiclass,
                               segment_overall=segment_overall,
                               video_overall=video_overall, sparsity=sparsity,
-                              video_segment=video_segment, total=total,
-                              weights=(w1, w2, w3))
+                              video_segment=video_segment, total=total)
 
     # d total / d channel scores: the bce_mean part, then the overall max
     g_channel = ops.bce_slope(s_mc, in_mc, target) / len(target)

@@ -1,8 +1,8 @@
 """Segment sampling, augmentation, the Adagrad optimizer, and the epoch loop.
 
-:func:`train` takes the one configuration type, :class:`~gigvad.config.Config`
-(``TrainConfig`` names the same class), whose caps on segments, clips, grid,
-channels and feature-block size bound every array of a video step.
+:func:`train` takes the one configuration type, :class:`~gigvad.config.Config`,
+whose caps on segments, clips, grid, channels and feature-block size bound
+every array of a video step. It takes one Adagrad step per video.
 
 Determinism contract: everything random is drawn from the PCG64 streams
 that ``SeedSequence`` gives tuples of (config seed, purpose tag, epoch, video
@@ -34,10 +34,6 @@ ADAGRAD_EPS = 1e-10
 _INIT_TAG = 1
 _SHUFFLE_TAG = 2
 _VIDEO_TAG = 3
-
-# the one configuration type under the name the training API first had
-TrainConfig = Config
-
 
 @dataclass
 class TrainResult:
@@ -76,12 +72,18 @@ def sample_segments(frame_count: int, segments: int, clips_per_segment: int,
 
 def hflip_augment(feats: FeatureMaps, prob: float,
                   rng: np.random.Generator) -> FeatureMaps:
-    """With probability ``prob``, reverse the feature block's row axis."""
+    """With probability ``prob``, reverse the feature block's row axis.
+
+    A flip cannot move the head's outputs: the head pools the spatial cells
+    without regard to their order (a max-pool, a cosine per cell and the
+    mean of the top-k set), so only an exact relevance tie could tell a
+    flipped block from the original. The draw still advances ``rng``.
+    """
     if rng.random() >= prob:
         return feats
     # a flipped copy of values already checked finite: wrap it as it is
     flipped = np.ascontiguousarray(feats.data.data[:, ::-1, :, :])
-    return FeatureMaps(Tensor._wrap(flipped), enhanced=feats.enhanced)
+    return FeatureMaps(Tensor._wrap(flipped))
 
 
 def adagrad_step(params: HeadParams, grads, lr: float) -> None:
@@ -169,5 +171,4 @@ def _epoch_breakdown(means: np.ndarray,
                          video_overall=video_overall,
                          sparsity=sparsity,
                          video_segment=video_segment,
-                         total=video_segment + w3 * sparsity,
-                         weights=weights)
+                         total=video_segment + w3 * sparsity)

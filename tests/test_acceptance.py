@@ -83,7 +83,7 @@ def _gradient_cases():
         g = Tensor(_away_from_origin(rng, (4,)))
         x = Tensor(_away_from_origin(rng, (2, 2, 2, 4)))
         return (lambda g, x: _weighted(
-            relation_scores(g, FeatureMaps(x, enhanced=True)), w_map), [g, x])
+            relation_scores(g, FeatureMaps(x)), w_map), [g, x])
 
     def topk_case(rng):
         scores = spaced_scores(rng, (3, 2))

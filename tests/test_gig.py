@@ -51,7 +51,6 @@ class TestEnhance:
     def test_zero_gate_is_exactly_one_point_five(self, rng):
         x = rng.normal(size=(2, 2, 2, 3))
         out = enhance(_feats(x), Tensor(np.zeros(3)))
-        assert out.enhanced
         assert np.array_equal(out.data.data, 1.5 * x)
 
     def test_saturated_gate_doubles(self, rng):

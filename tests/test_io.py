@@ -53,7 +53,7 @@ class TestConfig:
         cfg = Config()
         assert cfg.learning_rate == 0.001
         assert (cfg.lambda1, cfg.lambda2, cfg.lambda3) == (1.0, 0.5, 0.1)
-        assert cfg.epochs == 100 and cfg.batch_size == 8
+        assert cfg.epochs == 100
         assert (cfg.window, cfg.stride, cfg.sigma, cfg.tau) == (6, 3, 2.0, 0.5)
         assert cfg.top_k is None and cfg.top_p is None
 
@@ -68,7 +68,7 @@ seed = 9
         """)
         assert cfg.epochs == 5 and cfg.learning_rate == 0.01
         assert cfg.top_k == 2 and cfg.seed == 9
-        assert cfg.batch_size == 8  # untouched default
+        assert cfg.clip_interval == 5  # untouched default
 
     def test_auto_selection_counts(self):
         cfg = parse_config("top_k = auto\ntop_p = auto\n")
@@ -78,6 +78,13 @@ seed = 9
     def test_unknown_key_names_line(self):
         with pytest.raises(ConfigError, match="line 2.*unknown key 'lr'"):
             parse_config("epochs = 5\nlr = 0.1\n")
+
+    def test_batch_size_is_unknown_key(self):
+        # train() steps once per video, so the key is gone until it means
+        # something
+        with pytest.raises(ConfigError,
+                           match="line 2.*unknown key 'batch_size'"):
+            parse_config("epochs = 5\nbatch_size = 4\n")
 
     def test_bad_value_names_line(self):
         with pytest.raises(ConfigError, match="line 1"):
@@ -103,7 +110,7 @@ seed = 9
         assert at_cap.seed == at_cap.epochs == MAX_ENTROPY
 
     def test_one_config_class(self):
-        assert gigvad.TrainConfig is Config
+        assert not hasattr(gigvad, "TrainConfig")
         assert Config.__mro__ == (Config, object)
         assert list(_FIELD_PARSERS) == [f.name for f in fields(Config)]
         cfg = Config()
@@ -116,7 +123,7 @@ seed = 9
         ("rows", MAX_GRID, {"channels": 1}),
         ("cols", MAX_GRID, {"channels": 1}),
         ("channels", MAX_CHANNELS, {}),
-        ("window", MAX_FRAMES, {}),
+        ("window", MAX_CLIPS, {}),
         ("sigma", MAX_SIGMA, {}),
     ])
     def test_count_caps(self, name, cap, extra):
@@ -356,7 +363,7 @@ def cli_env(tmp_path_factory):
                  "--frames", "60", "90", "--cover", "0.2", "0.4",
                  "--start-id", "100"]) == 0
     cfg_file.write_text("epochs = 4\nchannels = 16\nsegments = 4\n"
-                        "batch_size = 4\nseed = 5\n")
+                        "seed = 5\n")
     return {"root": root, "train": train_file, "test": test_file,
             "cfg": cfg_file}
 
@@ -447,6 +454,36 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == ("configuration error: checkpoint and dataset disagree"
                        " on class count\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("verb", ["eval", "score"])
+    def test_top_k_mismatch_exits_one(self, cli_env, tmp_path, capsys, verb):
+        params = HeadParams.initialize(16, 2, np.random.default_rng(0))
+        ckpt = tmp_path / "k4.bin"
+        ckpt.write_bytes(checkpoint_bytes(params, 4, 2))
+        cfg = tmp_path / "k8.cfg"
+        cfg.write_text(cli_env["cfg"].read_text() + "top_k = 8\n")
+        argv = [verb, "--config", str(cfg), "--checkpoint", str(ckpt),
+                "--data", str(cli_env["test"]),
+                "--out-dir", str(tmp_path / "out")]
+        if verb == "score":
+            argv += ["--video", "100"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == ("configuration error: checkpoint has top_k = 4,"
+                       " config says 8\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("verb", ["eval", "score"])
+    def test_seed_flag_only_for_train(self, cli_env, tmp_path, capsys, verb):
+        argv = [verb, "--config", str(cli_env["cfg"]), "--seed", "5",
+                "--checkpoint", str(tmp_path / "none.bin"),
+                "--data", str(cli_env["test"]),
+                "--out-dir", str(tmp_path / "out")]
+        if verb == "score":
+            argv += ["--video", "100"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("usage error:")
         assert not (tmp_path / "out").exists()
 
     def test_usage_errors_exit_one(self, cli_env, capsys):
@@ -584,13 +621,59 @@ class TestCli:
         capsys.readouterr()
 
 
+# one value off the guard run's own for every key but the three paths
+_VARIANTS = {
+    "segments": 3, "clips_per_segment": 3, "clip_interval": 2,
+    "learning_rate": 0.05, "epochs": 2, "dropout": 0.25, "flip_prob": 1.0,
+    "top_k": 2, "top_p": 2, "lambda1": 2.0, "lambda2": 1.0, "lambda3": 0.5,
+    "seed": 8, "rows": 3, "cols": 3, "channels": 6, "window": 8,
+    "stride": 2, "sigma": 1.0, "tau": 0.3,
+}
+_PATH_KEYS = ("train_data", "test_data", "out_dir")
+# a head pools its spatial cells without regard to their order, so the row
+# flip this key draws moves no output bit, save on exact relevance ties
+_INERT_KEYS = ("flip_prob",)
+
+
+def test_every_config_key_moves_an_artifact(tmp_path, capsys):
+    """generate -> train -> eval -> score once per key set off the guard
+    run's value: every key but the paths and ``flip_prob`` must move at
+    least one byte of the four artifacts."""
+    assert sorted(_VARIANTS) == sorted(
+        f.name for f in fields(Config) if f.name not in _PATH_KEYS)
+    train_file, test_file = tmp_path / "train.txt", tmp_path / "test.txt"
+    write_dataset(train_file, generate_dataset(12, 6, 2, 3, frames=(40, 80),
+                                               cover=(0.6, 0.9)))
+    write_dataset(test_file, generate_dataset(4, 3, 2, 3, frames=(60, 90),
+                                              cover=(0.2, 0.4),
+                                              start_id=100))
+    base = {"epochs": 1, "channels": 8, "segments": 4}
+
+    def artifacts(name: str, values: dict) -> list[bytes]:
+        cfg, out = tmp_path / f"{name}.cfg", tmp_path / name
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        common = ["--config", str(cfg), "--out-dir", str(out)]
+        scoring = [*common, "--checkpoint", str(out / "checkpoint.bin"),
+                   "--data", str(test_file)]
+        assert main(["train", *common, "--data", str(train_file)]) == 0
+        assert main(["eval", *scoring]) == 0
+        assert main(["score", *scoring, "--video", "100"]) == 0
+        capsys.readouterr()
+        return [(out / f).read_bytes() for f in (
+            "checkpoint.bin", "loss_log.tsv", "metrics.txt", "scores_100.tsv")]
+
+    reference = artifacts("base", base)
+    moved = {key: artifacts(key, {**base, key: value}) != reference
+             for key, value in _VARIANTS.items()}
+    assert moved == {key: key not in _INERT_KEYS for key in _VARIANTS}
+
+
 # sizes a run can ask for: tiny, or past every cap (so nothing is allocated)
 _HUGE = 10 ** 13
 _TINY_OR_HUGE = st.one_of(st.integers(1, 4), st.just(_HUGE),
                           st.sampled_from([-1, 0])).map(str)
-_COUNT_KEYS = ["segments", "clips_per_segment", "clip_interval", "batch_size",
-               "top_k", "top_p", "seed", "rows", "cols", "channels", "window",
-               "stride"]
+_COUNT_KEYS = ["segments", "clips_per_segment", "clip_interval", "top_k",
+               "top_p", "seed", "rows", "cols", "channels", "window", "stride"]
 _FLOAT_KEYS = [f.name for f in fields(Config) if f.type == "float"]
 _PREFIXES = {1: ("usage error:", "configuration error:"), 2: ("i/o error:",),
              3: ("numeric failure:",)}

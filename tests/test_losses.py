@@ -93,7 +93,7 @@ class TestTotalLoss:
         one = Tensor(1.0)
         total, bd = total_loss(one, one, one, one)
         assert total.item() == pytest.approx(2.6, abs=1e-12)
-        assert bd.weights == DEFAULT_WEIGHTS == (1.0, 0.5, 0.1)
+        assert DEFAULT_WEIGHTS == (1.0, 0.5, 0.1)
 
     def test_zero_components(self):
         zero = Tensor(0.0)

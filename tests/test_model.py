@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from gigvad.backbone import synthetic_backbone
+from gigvad.config import Config
 from gigvad.data import AnomalySpan, VideoSpec, generate_dataset
 from gigvad.errors import NumericError
 from gigvad.gig import FeatureMaps, HeadParams, VideoLabels
 from gigvad.inference import score_video, window_starts
 from gigvad.model import head_forward, head_step, run_head, video_loss
 from gigvad.tensor import GradTape, Tensor
-from gigvad.training import TrainConfig, hflip_augment, train
+from gigvad.training import hflip_augment, train
 
 # (T, rows, cols, d, top_k, top_p): the protocol and train_wide shapes, then
 # top_p above its default and a grid where top-k takes more than 8 cells
@@ -92,6 +93,7 @@ def test_head_forward_equals_run_head(shape):
     pytest.param(1037, 10, 4, (4, 4, 32), id="1037-10-4"),
     pytest.param(50, 1, 1, (4, 4, 32), id="50-1-1"),
     pytest.param(4, 6, 3, (4, 4, 32), id="4-6-3"),
+    pytest.param(14, 6, 3, (4, 4, 32), id="14-6-3"),
     pytest.param(27, 6, 3, (8, 8, 128), id="27-6-3-wide"),
     pytest.param(60, 6, 3, (8, 8, 128), id="60-6-3-wide"),
 ])
@@ -142,9 +144,9 @@ def test_train_overflow_is_numeric_error(monkeypatch):
     dataset = generate_dataset(4, 2, 2, seed=3, frames=(40, 60))
     # the sparsity term (about T/2) times 1e308 overflows the total
     with pytest.raises(NumericError, match="loss"):
-        train(dataset, TrainConfig(epochs=1, channels=16, lambda3=1e308))
+        train(dataset, Config(epochs=1, channels=16, lambda3=1e308))
     init = HeadParams.initialize.__func__
     monkeypatch.setattr(HeadParams, "initialize", classmethod(
         lambda cls, *a: _overflowing(init(cls, *a))))
     with pytest.raises(NumericError, match="affine"):
-        train(dataset, TrainConfig(epochs=1, channels=16))
+        train(dataset, Config(epochs=1, channels=16))

@@ -14,7 +14,7 @@ from conftest import spaced_scores
 
 
 def _feats(arr):
-    return FeatureMaps(Tensor(arr), enhanced=True)
+    return FeatureMaps(Tensor(arr))
 
 
 class TestRelationScores:

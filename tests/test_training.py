@@ -11,6 +11,7 @@ from gigvad import backbone, training
 from gigvad.backbone import (_FEATURE_TAG, SIGNATURE_OFFSET, _pcg64_keys,
                              _set_state, signature_cells, signature_channels,
                              synthetic_backbone)
+from gigvad.config import Config
 from gigvad.data import (MAX_ENTROPY, AnomalySpan, DatasetSpec, VideoSpec,
                          generate_dataset)
 from gigvad.errors import (ConfigError, DatasetError, DimensionError,
@@ -19,8 +20,8 @@ from gigvad.gig import FeatureMaps, HeadParams, VideoLabels
 from gigvad.inference import score_video
 from gigvad.ops import dropout
 from gigvad.tensor import Tensor
-from gigvad.training import (TrainConfig, adagrad_step, hflip_augment,
-                             sample_segments, train)
+from gigvad.training import (adagrad_step, hflip_augment, sample_segments,
+                             train)
 
 
 def _video(video_id=0, frame_count=120, classes=(), n_classes=3, spans=()):
@@ -370,17 +371,17 @@ def _tiny_dataset(seed=3):
 
 
 class TestTrain:
-    CFG = dict(segments=4, channels=12, batch_size=4, epochs=3, seed=11)
+    CFG = dict(segments=4, channels=12, epochs=3, seed=11)
 
     def test_same_seed_bit_identical(self):
-        res1 = train(_tiny_dataset(), TrainConfig(**self.CFG))
-        res2 = train(_tiny_dataset(), TrainConfig(**self.CFG))
+        res1 = train(_tiny_dataset(), Config(**self.CFG))
+        res2 = train(_tiny_dataset(), Config(**self.CFG))
         for a, b in zip(res1.params.tensors(), res2.params.tensors()):
             assert np.array_equal(a.data, b.data)
         assert res1.history == res2.history
 
     def test_zero_epochs_keeps_initialization(self):
-        cfg = TrainConfig(**{**self.CFG, "epochs": 0})
+        cfg = Config(**{**self.CFG, "epochs": 0})
         res = train(_tiny_dataset(), cfg)
         init_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 1)))
         init = HeadParams.initialize(cfg.channels, 2, init_rng)
@@ -389,13 +390,12 @@ class TestTrain:
         assert res.history == []
 
     def test_loss_decreases_on_learnable_data(self):
-        cfg = TrainConfig(segments=4, channels=12, batch_size=4, epochs=25,
-                          seed=11)
+        cfg = Config(segments=4, channels=12, epochs=25, seed=11)
         res = train(_tiny_dataset(), cfg)
         assert res.history[-1].total < res.history[0].total
 
     def test_logged_totals_compose(self):
-        res = train(_tiny_dataset(), TrainConfig(**self.CFG))
+        res = train(_tiny_dataset(), Config(**self.CFG))
         for bd in res.history:
             want = (bd.multiclass + 1.0 * bd.segment_overall
                     + 0.5 * bd.video_overall + 0.1 * bd.sparsity)
@@ -404,35 +404,35 @@ class TestTrain:
     def test_needs_both_label_kinds(self):
         all_normal = generate_dataset(6, 0, 2, 1, frames=(30, 40), cover=(0.5, 0.6))
         with pytest.raises(DatasetError):
-            train(all_normal, TrainConfig(**self.CFG))
+            train(all_normal, Config(**self.CFG))
         all_anom = generate_dataset(6, 6, 2, 1, frames=(30, 40), cover=(0.5, 0.6))
         with pytest.raises(DatasetError):
-            train(all_anom, TrainConfig(**self.CFG))
+            train(all_anom, Config(**self.CFG))
 
 
 class TestTrainConfig:
     def test_defaults_match_protocol(self):
-        cfg = TrainConfig()
+        cfg = Config()
         assert (cfg.segments, cfg.clips_per_segment, cfg.clip_interval) == (8, 6, 5)
-        assert (cfg.batch_size, cfg.learning_rate, cfg.epochs) == (8, 0.001, 100)
+        assert (cfg.learning_rate, cfg.epochs) == (0.001, 100)
         assert (cfg.dropout, cfg.flip_prob) == (0.5, 0.5)
         assert cfg.weights == (1.0, 0.5, 0.1)
         assert cfg.resolved_k == 4 and cfg.resolved_p == 2
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            TrainConfig(dropout=1.0)
+            Config(dropout=1.0)
         with pytest.raises(ConfigError):
-            TrainConfig(segments=0)
+            Config(segments=0)
         with pytest.raises(ConfigError):
-            TrainConfig(lambda2=-0.5)
+            Config(lambda2=-0.5)
         with pytest.raises(ConfigError):
-            TrainConfig(learning_rate=0.0)
+            Config(learning_rate=0.0)
         for bad in ({"learning_rate": float("nan")},
                     {"learning_rate": float("inf")},
                     {"lambda1": float("nan")}, {"lambda3": float("inf")},
                     {"seed": -1}, {"top_k": 0}, {"top_k": 17},
                     {"top_p": 0}, {"top_p": 9}):
             with pytest.raises(ConfigError):
-                TrainConfig(**bad)
-        assert TrainConfig(top_k=16, top_p=8).resolved_k == 16
+                Config(**bad)
+        assert Config(top_k=16, top_p=8).resolved_k == 16
