@@ -15,9 +15,11 @@ into the four words a per-segment ``SeedSequence`` would give PCG64, bit for
 bit. The call then sets a generator of its own to each segment's state in
 turn (:func:`_set_state`) and draws the segment's noise, so concurrent calls
 share no generator. A pass costs about a hundred numpy calls, so a caller
-that needs many segments, such as one chunk of scoring windows, asks for
-them in one call; that is what makes it cheaper than one ``SeedSequence``
-per segment.
+that needs many segments asks for them in one call; that is what makes it
+cheaper than one ``SeedSequence`` per segment. Scoring asks for a chunk of
+windows in one :func:`synthetic_backbone` call, and training for the
+segments of a chunk of videos in one :func:`_video_blocks` call, the
+multi-video core that :func:`synthetic_backbone` runs for one video.
 """
 
 from __future__ import annotations
@@ -183,40 +185,61 @@ def synthetic_backbone(clip_starts: Sequence[Sequence[int]] | np.ndarray,
     """Feature block of extents (T, w, h, d) for the sampled clips.
 
     ``clip_starts`` is a (T, C) matrix of clip start frames, one row of
-    equal length per segment, with T >= 1. The rows (tag, seed, video id,
-    *clip starts) are keyed in one :func:`_pcg64_keys` pass, and each
-    segment's noise is drawn from its own key. Each class active at a
-    segment's clips adds :data:`SIGNATURE_OFFSET` to its signature channels
-    at its signature cells.
+    equal length per segment, with T >= 1. The block is
+    :func:`_video_blocks` of this one video.
     """
-    rows, cols, channels = dims
-    if min(rows, cols, channels) < 1:
-        raise ConfigError("feature dims must be positive")
-    if channels < video.labels.n_classes:
-        raise ConfigError("need at least one channel per anomaly class")
     try:
         clips = np.asarray(clip_starts, dtype=np.int64)
     except ValueError as exc:
         raise DimensionError("clip lists must all have one length") from exc
     if clips.ndim != 2 or not len(clips):
         raise DimensionError("clip starts must be a (T, C) matrix, T >= 1")
-    entropy = np.empty((len(clips), 3 + clips.shape[1]), dtype=np.int64)
-    entropy[:, :3] = _FEATURE_TAG, seed, video.video_id
-    entropy[:, 3:] = clips
-    block = np.empty((len(clips), rows, cols, channels))
+    block = _video_blocks(clips[None], [video], dims, seed)[0]
+    return FeatureMaps(Tensor._wrap(block))
+
+
+def _video_blocks(clips: np.ndarray, videos: Sequence[VideoSpec],
+                  dims: tuple[int, int, int], seed: int,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Feature blocks (n, T, w, h, d) of n videos' sampled clips.
+
+    ``clips`` is an (n, T, C) int64 array of clip start frames, row i
+    sampled from ``videos[i]``. The n * T rows (tag, seed, video id, *clip
+    starts) are keyed in one :func:`_pcg64_keys` pass, and each segment's
+    noise is drawn from its own key. Each class active at a segment's clips
+    adds :data:`SIGNATURE_OFFSET` to its signature channels at its signature
+    cells. A video's block depends on its own clips alone, so it holds the
+    same bits whichever videos share the call. With ``out``, an array of at
+    least n such blocks, the blocks are written to its first n rows.
+    """
+    rows, cols, channels = dims
+    if min(rows, cols, channels) < 1:
+        raise ConfigError("feature dims must be positive")
+    if channels < max(video.labels.n_classes for video in videos):
+        raise ConfigError("need at least one channel per anomaly class")
+    n, t, width = clips.shape
+    entropy = np.empty((n, t, 3 + width), dtype=np.int64)
+    entropy[..., :2] = _FEATURE_TAG, seed
+    entropy[..., 2] = [[video.video_id] for video in videos]
+    entropy[..., 3:] = clips
+    block = np.empty((n, t, rows, cols, channels)) if out is None else out[:n]
+    segments = block.reshape(n * t, rows, cols, channels)
     # a generator of this call's own, so concurrent calls share no state
     noise = np.random.Generator(np.random.PCG64())
-    for t, key in enumerate(_pcg64_keys(entropy)):
+    for row, key in enumerate(_pcg64_keys(entropy.reshape(n * t, -1))):
         _set_state(noise, key)
-        noise.standard_normal(out=block[t])
-    active: dict[int, np.ndarray] = {}
-    for span in video.spans:
-        hit = ((span.start <= clips) & (clips <= span.end)).any(axis=1)
-        active[span.cls] = active.get(span.cls, False) | hit
-    # every offset is the same constant: the classes' order moves no bit
-    for cls, segments in active.items():
-        lo, hi = signature_channels(cls, video.labels.n_classes, channels)
-        for r, c in signature_cells(cls, rows, cols):
-            block[segments, r, c, lo:hi] += SIGNATURE_OFFSET
-    # the block is fresh: check it and take it over without a copy
-    return FeatureMaps(Tensor._wrap(ops.check_finite(block, "backbone")))
+        noise.standard_normal(out=segments[row])
+    for video, video_clips, video_block in zip(videos, clips, block):
+        active: dict[int, np.ndarray] = {}
+        for span in video.spans:
+            hit = ((span.start <= video_clips)
+                   & (video_clips <= span.end)).any(axis=1)
+            active[span.cls] = active.get(span.cls, False) | hit
+        # every offset is the same constant: the classes' order moves no bit
+        for cls, hits in active.items():
+            lo, hi = signature_channels(cls, video.labels.n_classes,
+                                        channels)
+            for r, c in signature_cells(cls, rows, cols):
+                video_block[hits, r, c, lo:hi] += SIGNATURE_OFFSET
+    # every value was just written: check them and hand them over uncopied
+    return ops.check_finite(block, "backbone")

@@ -32,10 +32,12 @@ DEFAULT_TAU = 0.5
 # MAX_FRAMES, so its length is bounded; the workloads use 2.0
 MAX_SIGMA = MAX_FRAMES / 4
 
-# feature bytes per backbone and head_forward call: enough windows to
-# amortise the fixed cost of a key pass and of a kernel call (8 windows at
-# the 8x8x128 shape), few enough that a long video's windows never sit in
-# memory at once
+# feature bytes per backbone call, in scoring (a chunk of windows, then one
+# head_forward call) and in training (a chunk of videos, then one _select
+# call): enough rows to amortise the fixed cost of a key pass and of a
+# kernel call (8 windows at the 8x8x128 shape, 16 protocol videos), few
+# enough that a long video's windows or an epoch's videos never sit in
+# memory at once; a block larger than this goes alone
 CHUNK_BYTES = 512 * 1024
 
 

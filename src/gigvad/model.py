@@ -136,32 +136,28 @@ def head_forward(x: np.ndarray, segment_w: np.ndarray, segment_b: np.ndarray,
     return _top_p(_segment_probs(patterns, segment_w, segment_b), p)[0]
 
 
-def head_step(x: np.ndarray, heads, target: np.ndarray, k: int, p: int,
-              weights: tuple[float, float, float], rate: float,
-              rng: np.random.Generator | None,
+def head_step(pattern: np.ndarray, patterns: np.ndarray, heads,
+              target: np.ndarray, p: int,
+              weights: tuple[float, float, float],
               ) -> tuple[LossBreakdown, list[np.ndarray]]:
     """The four losses of one video and the gradients of the four heads.
 
-    ``x`` is the (T, w, h, d) feature block, ``heads`` the arrays named by
-    ``HeadParams.NAMES`` in that order, and ``target`` the 1+C extended
-    label. Dropout at ``rate`` (training mode) draws the pattern-vector mask,
-    then the segment-pattern mask; at rate 0 it draws nothing. The result
-    equals ``video_loss(..., training=True)`` and ``GradTape.gradients`` of
-    its total with respect to ``HeadParams.tensors()``, bit for bit.
+    ``pattern`` (d,) and ``patterns`` (T, d) are the video's head inputs:
+    its :func:`_select` rows, each times its dropout mask in training (the
+    pattern-vector mask is drawn first, then the segment-pattern mask).
+    ``heads`` are the arrays named by ``HeadParams.NAMES`` in that order,
+    and ``target`` the 1+C extended label. With the masks that
+    ``video_loss(..., training=True)`` draws, the result equals that loss
+    and ``GradTape.gradients`` of its total with respect to
+    ``HeadParams.tensors()``, bit for bit.
     """
     video_w, video_b, segment_w, segment_b = heads
-    t, d = x.shape[0], x.shape[-1]
-    pattern, patterns = _select(x.reshape(1, t, -1, d), k)
-    pattern_in, patterns_in = pattern[0], patterns[0]
-    if rate > 0.0:
-        pattern_in = pattern_in * ops.dropout_mask((d,), rate, rng)
-        patterns_in = patterns_in * ops.dropout_mask((t, d), rate, rng)
-
+    t = len(patterns)
     with np.errstate(over="ignore", invalid="ignore"):
-        vlogits = video_w @ pattern_in + video_b
+        vlogits = video_w @ pattern + video_b
     vprobs = ops.sigmoid_values(ops.check_finite(vlogits, "affine"))
     vwin = 1 + vprobs[1:].argmax()
-    scores = _segment_probs(patterns_in, segment_w, segment_b)
+    scores = _segment_probs(patterns, segment_w, segment_b)
     channel, sel = _top_p(scores, p)
     cwin = 1 + channel[1:].argmax()
     segs = np.arange(t)
@@ -197,5 +193,5 @@ def head_step(x: np.ndarray, heads, target: np.ndarray, k: int, p: int,
     g_vprobs = np.zeros_like(vprobs)
     g_vprobs[vwin] = w2 * ops.bce_slope(s_vo, in_vo, flag)
     g_vlogits = g_vprobs * vprobs * (1.0 - vprobs)
-    return breakdown, [np.outer(g_vlogits, pattern_in), g_vlogits,
-                       g_logits.T @ patterns_in, g_logits.sum(axis=0)]
+    return breakdown, [np.outer(g_vlogits, pattern), g_vlogits,
+                       g_logits.T @ patterns, g_logits.sum(axis=0)]

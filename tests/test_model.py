@@ -13,6 +13,8 @@ from gigvad.model import head_forward, head_step, run_head, video_loss
 from gigvad.tensor import GradTape, Tensor
 from gigvad.training import hflip_augment, train
 
+from conftest import head_inputs
+
 # (T, rows, cols, d, top_k, top_p): the protocol and train_wide shapes, then
 # top_p above its default and a grid where top-k takes more than 8 cells
 SHAPES = [(8, 4, 4, 32, 4, 2), (16, 8, 8, 128, 4, 4), (8, 4, 4, 32, 4, 5),
@@ -54,10 +56,11 @@ def test_head_step_equals_tape(shape, rate):
                                      rate, True, tape_rng)
         want_grads = tape.gradients(total, params.tensors())
         kernel_rng = np.random.default_rng(seed)
-        got, grads = head_step(feats.data.data,
+        pattern, patterns = head_inputs(feats.data.data, k, rate,
+                                         kernel_rng)
+        got, grads = head_step(pattern, patterns,
                                [t.data for t in params.tensors()],
-                               labels.extended(), k, p, weights, rate,
-                               kernel_rng)
+                               labels.extended(), p, weights)
         assert got == want, draw
         for name, a, b in zip(HeadParams.NAMES, grads, want_grads):
             assert np.array_equal(a, b), (draw, name)
@@ -136,8 +139,8 @@ def test_head_step_overflow_is_numeric_error(rng):
     feats, params, labels = _draw(rng, SHAPES[0])
     heads = [t.data for t in _overflowing(params).tensors()]
     with pytest.raises(NumericError, match="affine"):
-        head_step(feats.data.data, heads, labels.extended(), 4, 2,
-                  (1.0, 0.5, 0.1), 0.0, None)
+        head_step(*head_inputs(feats.data.data, 4, 0.0, None), heads,
+                  labels.extended(), 2, (1.0, 0.5, 0.1))
 
 
 def test_train_overflow_is_numeric_error(monkeypatch):

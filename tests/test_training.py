@@ -11,6 +11,7 @@ from gigvad import backbone, training
 from gigvad.backbone import (_FEATURE_TAG, SIGNATURE_OFFSET, _pcg64_keys,
                              _set_state, signature_cells, signature_channels,
                              synthetic_backbone)
+from gigvad.checkpoint import checkpoint_bytes
 from gigvad.config import Config
 from gigvad.data import (MAX_ENTROPY, AnomalySpan, DatasetSpec, VideoSpec,
                          generate_dataset)
@@ -18,10 +19,13 @@ from gigvad.errors import (ConfigError, DatasetError, DimensionError,
                            NumericError)
 from gigvad.gig import FeatureMaps, HeadParams, VideoLabels
 from gigvad.inference import score_video
+from gigvad.model import head_step
 from gigvad.ops import dropout
 from gigvad.tensor import Tensor
 from gigvad.training import (adagrad_step, hflip_augment, sample_segments,
                              train)
+
+from conftest import head_inputs
 
 
 def _video(video_id=0, frame_count=120, classes=(), n_classes=3, spans=()):
@@ -66,6 +70,46 @@ class TestSampleSegments:
         a = sample_segments(123, 8, 6, 5, np.random.default_rng(5))
         b = sample_segments(123, 8, 6, 5, np.random.default_rng(5))
         assert a == b
+
+    @pytest.mark.parametrize("segments", [1, 3, 8, 16])
+    @pytest.mark.parametrize("clips", [1, 3, 4, 16])
+    def test_equals_scalar_draw_loop(self, segments, clips):
+        """The same starts, generator state and next draw as one scalar
+        ``integers`` call per segment, on short and long videos."""
+        for frames in [*range(1, 60), 180, 181, 359, 360]:
+            for interval in (1, 5):
+                seed = [frames, segments, clips, interval]
+                got_rng = np.random.default_rng(seed)
+                want_rng = np.random.default_rng(seed)
+                got = sample_segments(frames, segments, clips, interval,
+                                      got_rng)
+                want = _loop_sample_segments(frames, segments, clips,
+                                             interval, want_rng)
+                assert got == want, seed
+                assert all(type(f) is int for seg in got for f in seg)
+                assert (got_rng.bit_generator.state
+                        == want_rng.bit_generator.state), seed
+                assert got_rng.random() == want_rng.random(), seed
+
+
+def _loop_sample_segments(frame_count, segments, clips_per_segment,
+                          clip_interval, rng):
+    """``sample_segments`` as a loop: one scalar offset draw per segment."""
+    base, extra = divmod(frame_count, segments)
+    bounds, pos = [], 0
+    for t in range(segments):
+        length = base + (1 if t < extra else 0)
+        bounds.append((pos, pos + length))
+        pos += length
+    span = (clips_per_segment - 1) * clip_interval + 1
+    all_starts = []
+    for lo, hi in bounds:
+        length = hi - lo
+        last = min(max(hi - 1, lo), frame_count - 1)
+        start = lo + int(rng.integers(0, max(length - span, 0) + 1))
+        all_starts.append([min(start + j * clip_interval, last)
+                           for j in range(clips_per_segment)])
+    return all_starts
 
 
 class TestSyntheticBackbone:
@@ -408,6 +452,114 @@ class TestTrain:
         all_anom = generate_dataset(6, 6, 2, 1, frames=(30, 40), cover=(0.5, 0.6))
         with pytest.raises(DatasetError):
             train(all_anom, Config(**self.CFG))
+
+
+def _oracle_train(dataset, cfg):
+    """``train()`` one video at a time: the video's stream,
+    ``sample_segments``, ``synthetic_backbone``, ``hflip_augment``, the
+    head step and ``adagrad_step``. Streams come from ``SeedSequence``."""
+    def stream(*entropy):
+        return np.random.default_rng(np.random.SeedSequence(entropy))
+
+    params = HeadParams.initialize(cfg.channels, dataset.n_classes,
+                                   stream(cfg.seed, training._INIT_TAG))
+    history = []
+    for epoch in range(1, cfg.epochs + 1):
+        order = stream(cfg.seed, training._SHUFFLE_TAG, epoch).permutation(
+            len(dataset.videos))
+        term_sums = np.zeros(4)
+        for pos in order:
+            video = dataset.videos[int(pos)]
+            rng = stream(cfg.seed, training._VIDEO_TAG, epoch,
+                         video.video_id)
+            starts = sample_segments(video.frame_count, cfg.segments,
+                                     cfg.clips_per_segment,
+                                     cfg.clip_interval, rng)
+            feats = synthetic_backbone(starts, video, cfg.dims, dataset.seed)
+            feats = hflip_augment(feats, cfg.flip_prob, rng)
+            pattern, patterns = head_inputs(feats.data.data, cfg.resolved_k,
+                                            cfg.dropout, rng)
+            bd, grads = head_step(pattern, patterns,
+                                  [t.data for t in params.tensors()],
+                                  video.labels.extended(), cfg.resolved_p,
+                                  cfg.weights)
+            adagrad_step(params, grads, cfg.learning_rate)
+            term_sums += (bd.multiclass, bd.segment_overall,
+                          bd.video_overall, bd.sparsity)
+        history.append(training._epoch_breakdown(
+            term_sums / len(dataset.videos), cfg.weights))
+    return params, history
+
+
+class TestChunkedTrain:
+    """``train()`` walks each epoch in chunks of videos; it must equal the
+    per-video oracle, and no chunk may hold more than ``CHUNK_BYTES`` of
+    features unless one video's block alone does."""
+
+    CFG = dict(segments=4, channels=12, epochs=3, seed=11)
+    BLOCK = 8 * 4 * 4 * 4 * 12  # bytes of one video's (4, 4, 4, 12) block
+
+    # None: all 10 videos in one chunk; 3: chunks of 3, 3, 3 and 1; 1: one
+    # video per chunk
+    @pytest.mark.parametrize("chunk_videos", [None, 3, 1])
+    @pytest.mark.parametrize("rate", [0.0, 0.5])
+    @pytest.mark.parametrize("flip_prob", [0.0, 1.0])
+    def test_equals_per_video_oracle(self, monkeypatch, chunk_videos, rate,
+                                     flip_prob):
+        if chunk_videos is not None:
+            monkeypatch.setattr(training, "CHUNK_BYTES",
+                                chunk_videos * self.BLOCK + self.BLOCK // 2)
+        cfg = Config(**self.CFG, dropout=rate, flip_prob=flip_prob)
+        self._assert_equals_oracle(_tiny_dataset(), cfg)
+
+    def test_equals_per_video_oracle_at_protocol_shape(self):
+        """Default config (T = 8, 4x4 grid, d = 32, dropout and flips at
+        0.5): 16 videos fit a chunk, so 20 videos take a full chunk and a
+        remainder of 4."""
+        dataset = generate_dataset(20, 10, 4, 5, frames=(60, 180),
+                                   cover=(0.5, 0.8))
+        self._assert_equals_oracle(dataset, Config(epochs=2, seed=7))
+
+    @staticmethod
+    def _assert_equals_oracle(dataset, cfg):
+        got = train(dataset, cfg)
+        params, history = _oracle_train(dataset, cfg)
+        k, p = cfg.resolved_k, cfg.resolved_p
+        assert (checkpoint_bytes(got.params, k, p)
+                == checkpoint_bytes(params, k, p))
+        assert got.history == history
+        for name in HeadParams.NAMES:
+            assert np.array_equal(got.params.accum[name], params.accum[name])
+
+    @pytest.mark.parametrize("chunk_bytes, dims", [
+        (512 * 1024, (4, 4, 12)), (2 * BLOCK + 1, (4, 4, 12)),
+        (1, (4, 4, 12)), (512 * 1024, (8, 8, 128))])
+    def test_chunk_blocks_stay_within_bound(self, monkeypatch, chunk_bytes,
+                                            dims):
+        shapes = []
+
+        def recording(*args):
+            block = video_blocks(*args)
+            shapes.append(block.shape)
+            return block
+
+        video_blocks = training._video_blocks
+        monkeypatch.setattr(training, "_video_blocks", recording)
+        monkeypatch.setattr(training, "CHUNK_BYTES", chunk_bytes)
+        rows, cols, channels = dims
+        cfg = Config(**{**self.CFG, "epochs": 2, "rows": rows, "cols": cols,
+                        "channels": channels})
+        train(_tiny_dataset(), cfg)
+        one = 8 * cfg.segments * rows * cols * channels
+        per_chunk = max(1, chunk_bytes // one)
+        assert all(shape[1:] == (cfg.segments, *dims) for shape in shapes)
+        assert all(8 * np.prod(shape) <= max(chunk_bytes, one)
+                   for shape in shapes)
+        # full chunks, then the epoch's remainder, twice
+        sizes = [shape[0] for shape in shapes]
+        epoch = [per_chunk] * (10 // per_chunk) + [10 % per_chunk] * bool(
+            10 % per_chunk)
+        assert sizes == epoch * 2
 
 
 class TestTrainConfig:
